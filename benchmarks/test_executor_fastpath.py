@@ -4,7 +4,8 @@ The vectorized block executor is a *fast path*, never a semantics
 change, so the properties pinned here are:
 
 * on a fig09-scale reduction every launch takes the vectorized path —
-  no silent fallbacks to the coroutine interpreter;
+  no silent fallbacks to the coroutine interpreter — and, untraced, the
+  whole-array ``direct_body`` of the lowered reduction;
 * both paths produce bit-identical output buffers;
 * the fast path is at least 10x faster in wall-clock on that launch
   (the real margin is orders of magnitude; 10x keeps the gate robust
@@ -57,6 +58,7 @@ def test_fastpath_engages_without_fallbacks(data):
     compiled = _compiled()
     _, _, executor = _run(compiled, data, MODE_VECTORIZED)
     assert executor.vectorized_launches > 0
+    assert executor.direct_launches == executor.vectorized_launches
     assert executor.vector_fallbacks == 0
     assert executor.reference_launches == 0
 
@@ -65,7 +67,7 @@ def test_reference_mode_never_vectorizes(data):
     compiled = _compiled()
     _, _, executor = _run(compiled, data, MODE_REFERENCE)
     assert executor.reference_launches > 0
-    assert executor.vectorized_launches == 0
+    assert executor.vectorized_launches == executor.direct_launches == 0
 
 
 def test_bit_identical_outputs(data):

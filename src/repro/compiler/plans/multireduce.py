@@ -22,7 +22,9 @@ from ...gpu import SYNC, Device, DeviceArray, GPUSpec, Kernel
 from ...perfmodel import KernelWorkload
 from ..reducers import Reducer
 from .base import IN, KernelPlan, PlannedLaunch
-from .reduceplan import LAYOUT_ROWS, ReduceShape, _index_fn, _select_state
+from .reduceplan import (LAYOUT_ROWS, ReduceShape, _index_fn, _select_state,
+                         fold_lanes, fold_partials, lane_view,
+                         store_outputs, tree_fold)
 
 
 class HorizontalReducePlan(KernelPlan):
@@ -120,11 +122,11 @@ class HorizontalReducePlan(KernelPlan):
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
         reducers = self._reducers(params)
-        addr = _index_fn(self.layout, self.shape, params)
+        addr = _index_fn(self.layout, narrays, length, k)
         threads = self.threads
         tree_steps = int(math.log2(threads))
         per_array = sum(r.outputs_per_array for r in reducers)
-        out = device.alloc(self.output_size(params), dtype=np.float64,
+        out = device.alloc(narrays * per_array, dtype=np.float64,
                            name=f"{self.name}.out")
         inbuf = buffers[IN]
         widths = [r.state_width for r in reducers]
@@ -222,6 +224,13 @@ class HorizontalReducePlan(KernelPlan):
                         ctx.gstore(out, r * per_array + offset, value, m0)
                         offset += 1
 
+        def store_all(finals):
+            offset = 0
+            for red, final in zip(reducers, finals):
+                values = red.vepilogue(final)
+                store_outputs(out, values, per_array, offset)
+                offset += len(values)
+
         if not self.two_kernel:
             def body(ctx):
                 yield from reduce_block(ctx, ctx.bx, 0, length)
@@ -231,8 +240,16 @@ class HorizontalReducePlan(KernelPlan):
             def vector_body(ctx):
                 vreduce_block(ctx, ctx.bx, 0, length, single_steps)
 
+            def direct_body():
+                view = lane_view(inbuf.data, self.layout, narrays, length,
+                                 k)
+                states = fold_lanes(reducers, view, 1, length, threads)
+                store_all([tuple(f[:, 0] for f in tree_fold(red, state))
+                           for red, state in zip(reducers, states)])
+
             device.launch(Kernel(f"{self.name}_h", body, 18, shared,
-                                 vector_body=vector_body),
+                                 vector_body=vector_body,
+                                 direct_body=direct_body),
                           narrays, threads, {"in": inbuf, "out": out})
             return out
 
@@ -366,12 +383,33 @@ class HorizontalReducePlan(KernelPlan):
                     ctx.gstore(out, r * per_array + offset, value, m0)
                     offset += 1
 
+        # Per-reducer (width, narrays, nblocks) views of the partials.
+        flat = partials.data.reshape(total_width, narrays, nblocks)
+        bounds = np.cumsum([0] + widths)
+        parts = [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+        def initial_direct():
+            view = lane_view(inbuf.data, self.layout, narrays, length, k)
+            states = fold_lanes(reducers, view, nblocks, chunk, threads)
+            for red, state, part in zip(reducers, states, parts):
+                part[:] = tree_fold(red, state)
+
+        def merge_direct():
+            store_all([tree_fold(red, fold_partials(red, tuple(part),
+                                                    threads))
+                       for red, part in zip(reducers, parts)])
+
+        # As in ReduceTwoKernelPlan: every written buffer is a launch arg,
+        # so launch-scope NaN faults reach the output.
         device.launch(Kernel(f"{self.name}_h_initial", initial_body, 20,
-                             shared, vector_body=initial_vector),
-                      narrays * nblocks, threads, {"in": inbuf})
+                             shared, vector_body=initial_vector,
+                             direct_body=initial_direct),
+                      narrays * nblocks, threads,
+                      {"in": inbuf, "partials": partials})
         device.launch(Kernel(f"{self.name}_h_merge", merge_body, 16, shared,
-                             vector_body=merge_vector),
-                      narrays, threads, {})
+                             vector_body=merge_vector,
+                             direct_body=merge_direct),
+                      narrays, threads, {"partials": partials, "out": out})
         return out
 
     def cuda_source(self) -> str:

@@ -73,11 +73,8 @@ class ReduceShape:
                 * self.pops_per_iter)
 
 
-def _index_fn(layout: str, shape: ReduceShape, params):
+def _index_fn(layout: str, narrays: int, length: int, k: int):
     """Address of pop component ``j`` of iteration ``i`` of array ``r``."""
-    length = shape.nelements(params)
-    k = shape.pops_per_iter
-    narrays = shape.narrays(params)
     if layout == LAYOUT_ROWS:
         return lambda r, i, j: (r * length + i) * k + j
     if layout == LAYOUT_ROW_SOA:
@@ -90,6 +87,111 @@ def _index_fn(layout: str, shape: ReduceShape, params):
 def _select_state(mask, new, old):
     """Lane-wise pick of reducer state tuples (arrays) by ``mask``."""
     return tuple(np.where(mask, n, o) for n, o in zip(new, old))
+
+
+# ---------------------------------------------------------------------------
+# Whole-array lowering (``Kernel.direct_body``)
+#
+# Untraced vectorized launches skip the per-warp emulation: the lanes of
+# every block become one numpy array, and each kernel loop becomes a slice
+# of a reshaped input view.  The fold order is the plan's, operation for
+# operation, so outputs stay bit-identical to the oracle: lane ``tx`` of
+# block ``c`` folds iterations ``c*chunk + tx + s*threads`` in ``s`` order
+# over ``(threads, arrays, blocks)`` slices, then the shared-memory tree
+# halves the lane axis.  Nothing calls ``np.sum``, and lanes without work
+# keep their state through a select — never a padded combine identity,
+# since ``-0.0 + 0.0`` is ``+0.0``.
+# ---------------------------------------------------------------------------
+
+def lane_view(data: np.ndarray, layout: str, narrays: int, length: int,
+              k: int) -> np.ndarray:
+    """``(narrays, length, k)`` float64 view of a reduction input buffer."""
+    x = data[:narrays * length * k].astype(np.float64, copy=False)
+    if layout == LAYOUT_ROWS:
+        return x.reshape(narrays, length, k)
+    if layout == LAYOUT_ROW_SOA:
+        return x.reshape(narrays, k, length).transpose(0, 2, 1)
+    if layout == LAYOUT_TRANSPOSED:
+        return x.reshape(length, k, narrays).transpose(2, 0, 1)
+    raise ValueError(f"unknown reduction layout {layout!r}")
+
+
+def fold_lanes(reducers, view: np.ndarray, nblocks: int, chunk: int,
+               threads: int):
+    """Accumulation phase of ``nblocks`` blocks per array, all lanes at once.
+
+    Block ``c`` of array ``r`` covers iterations ``[c*chunk, min(length,
+    (c+1)*chunk))``.  Returns one state tuple per reducer, each of
+    ``(threads, narrays, nblocks)`` arrays: lanes lead, so the halves the
+    tree combines are contiguous.
+    """
+    narrays, length, k = view.shape
+    span = nblocks * chunk
+    if span != length:
+        # Lanes past the end read these zeros; the select discards them.
+        padded = np.zeros((narrays, span, k))
+        padded[:, :length] = view
+        view = padded
+    # (chunk, k, narrays, nblocks): iteration within the block leads.
+    blocks = view.reshape(narrays, nblocks, chunk, k).transpose(2, 3, 0, 1)
+    states = [red.videntity((threads, narrays, nblocks)) for red in reducers]
+    first = np.arange(nblocks, dtype=np.int64) * chunk
+    for lo in range(0, chunk, threads):
+        n = min(threads, chunk - lo)
+        i = np.arange(lo, lo + n, dtype=np.int64)[:, None, None] + first
+        partial = span != length and i[-1].max() >= length
+        if partial:
+            live = i < length
+            i = np.where(live, i, 0)
+        vals = [blocks[lo:lo + n, j] for j in range(k)]
+        for red, state in zip(reducers, states):
+            cur = tuple(s[:n] for s in state)
+            new = red.vcombine(cur, red.velement(vals, i))
+            if partial:
+                new = _select_state(live, new, cur)
+            for s, v in zip(state, new):
+                s[:n] = v
+    return states
+
+
+def fold_partials(reducer: Reducer, parts, threads: int):
+    """Merge phase: lane ``tx`` folds partials ``tx + s*threads``.
+
+    ``parts`` is the state tuple of ``(narrays, nblocks)`` partials;
+    returns ``(threads, narrays)`` lane states.
+    """
+    narrays, nblocks = parts[0].shape
+    state = reducer.videntity((threads, narrays))
+    for lo in range(0, nblocks, threads):
+        n = min(threads, nblocks - lo)
+        cur = tuple(s[:n] for s in state)
+        new = reducer.vcombine(cur, tuple(p[:, lo:lo + n].T for p in parts))
+        for s, v in zip(state, new):
+            s[:n] = v
+    return state
+
+
+def tree_fold(reducer: Reducer, state):
+    """Shared-memory tree over the leading lane axis: lane ``tx`` absorbs
+    lane ``tx + active`` for ``active = threads/2, ..., 1``; returns lane
+    0's state."""
+    active = state[0].shape[0] // 2
+    while active:
+        merged = reducer.vcombine(tuple(s[:active] for s in state),
+                                  tuple(s[active:2 * active] for s in state))
+        for s, v in zip(state, merged):
+            s[:active] = v
+        active //= 2
+    return tuple(s[0] for s in state)
+
+
+def store_outputs(out: DeviceArray, values, per_array: int,
+                  offset: int = 0) -> None:
+    """Write epilogue value ``m`` of every array to ``r*per_array +
+    offset + m``."""
+    rows = out.data.reshape(-1, per_array)
+    for m, value in enumerate(values):
+        rows[:, offset + m] = value
 
 
 def restructure_host(data: np.ndarray, layout: str, shape: ReduceShape,
@@ -207,9 +309,9 @@ class ReduceSingleKernelPlan(_ReducePlanBase):
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
         reducer = self._reducer(params)
-        addr = _index_fn(self.layout, self.shape, params)
-        out = device.alloc(self.output_size(params), dtype=np.float64,
-                           name=f"{self.name}.out")
+        addr = _index_fn(self.layout, narrays, length, k)
+        out = device.alloc(narrays * reducer.outputs_per_array,
+                           dtype=np.float64, name=f"{self.name}.out")
         threads = self.threads
         rows_per_block = self.rows_per_block
         width = reducer.state_width
@@ -293,11 +395,17 @@ class ReduceSingleKernelPlan(_ReducePlanBase):
                 for m_out, value in enumerate(reducer.vepilogue(final)):
                     ctx.gstore(out, r * out_w + m_out, value, m0)
 
+        def direct_body():
+            view = lane_view(inbuf.data, self.layout, narrays, length, k)
+            (state,) = fold_lanes([reducer], view, 1, length, threads)
+            final = tuple(f[:, 0] for f in tree_fold(reducer, state))
+            store_outputs(out, reducer.vepilogue(final), out_w)
+
         kernel = Kernel(
             f"{self.name}_single", body, regs_per_thread=18,
             shared_spec={f"s{w}": (threads, np.float64)
                          for w in range(width)},
-            vector_body=vector_body)
+            vector_body=vector_body, direct_body=direct_body)
         blocks = max(1, math.ceil(narrays / rows_per_block))
         device.launch(kernel, blocks, threads, {"in": inbuf, "out": out})
         return out
@@ -389,7 +497,7 @@ class ReduceTwoKernelPlan(_ReducePlanBase):
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
         reducer = self._reducer(params)
-        addr = _index_fn(self.layout, self.shape, params)
+        addr = _index_fn(self.layout, narrays, length, k)
         nblocks = self.initial_blocks(params)
         chunk = math.ceil(length / nblocks)
         threads = self.threads
@@ -399,8 +507,8 @@ class ReduceTwoKernelPlan(_ReducePlanBase):
         inbuf = buffers[IN]
         partials = device.alloc(narrays * nblocks * width, dtype=np.float64,
                                 name=f"{self.name}.partials")
-        out = device.alloc(self.output_size(params), dtype=np.float64,
-                           name=f"{self.name}.out")
+        out = device.alloc(narrays * reducer.outputs_per_array,
+                           dtype=np.float64, name=f"{self.name}.out")
 
         def initial_body(ctx):
             r, c = divmod(ctx.bx, nblocks)
@@ -531,15 +639,29 @@ class ReduceTwoKernelPlan(_ReducePlanBase):
             for m_out, value in enumerate(reducer.vepilogue(final)):
                 ctx.gstore(out, r * out_w + m_out, value, m0)
 
+        parts = partials.data.reshape(width, narrays, nblocks)
+
+        def initial_direct():
+            view = lane_view(inbuf.data, self.layout, narrays, length, k)
+            (state,) = fold_lanes([reducer], view, nblocks, chunk, threads)
+            parts[:] = tree_fold(reducer, state)
+
+        def merge_direct():
+            state = fold_partials(reducer, tuple(parts), threads)
+            store_outputs(out, reducer.vepilogue(tree_fold(reducer, state)),
+                          out_w)
+
         shared = {f"s{w}": (threads, np.float64) for w in range(width)}
+        # Each launch names every buffer it writes, so a launch-scope NaN
+        # fault poisons what the next stage (or the caller) reads.
         device.launch(
             Kernel(f"{self.name}_initial", initial_body, 18, shared,
-                   vector_body=initial_vector),
-            narrays * nblocks, threads, {"in": inbuf})
+                   vector_body=initial_vector, direct_body=initial_direct),
+            narrays * nblocks, threads, {"in": inbuf, "partials": partials})
         device.launch(
             Kernel(f"{self.name}_merge", merge_body, 16, shared,
-                   vector_body=merge_vector),
-            narrays, threads, {})
+                   vector_body=merge_vector, direct_body=merge_direct),
+            narrays, threads, {"partials": partials, "out": out})
         return out
 
     def cuda_source(self) -> str:
@@ -589,9 +711,9 @@ class ReduceThreadPerArrayPlan(_ReducePlanBase):
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
         reducer = self._reducer(params)
-        addr = _index_fn(self.layout, self.shape, params)
-        out = device.alloc(self.output_size(params), dtype=np.float64,
-                           name=f"{self.name}.out")
+        addr = _index_fn(self.layout, narrays, length, k)
+        out = device.alloc(narrays * reducer.outputs_per_array,
+                           dtype=np.float64, name=f"{self.name}.out")
         out_w = reducer.outputs_per_array
         inbuf = buffers[IN]
 
@@ -617,8 +739,16 @@ class ReduceThreadPerArrayPlan(_ReducePlanBase):
             for m_out, value in enumerate(reducer.vepilogue(state)):
                 ctx.gstore(out, r * out_w + m_out, value, mask)
 
+        def direct_body():
+            view = lane_view(inbuf.data, self.layout, narrays, length, k)
+            state = reducer.videntity((narrays,))
+            for i in range(length):
+                vals = [view[:, i, j] for j in range(k)]
+                state = reducer.vcombine(state, reducer.velement(vals, i))
+            store_outputs(out, reducer.vepilogue(state), out_w)
+
         kernel = Kernel(f"{self.name}_tpa", body, regs_per_thread=16,
-                        vector_body=vector_body)
+                        vector_body=vector_body, direct_body=direct_body)
         blocks = max(1, math.ceil(narrays / self.threads))
         device.launch(kernel, blocks, self.threads,
                       {"in": inbuf, "out": out})

@@ -228,8 +228,46 @@ class NaiveStencilPlan(_StencilPlanBase):
                 alt = center
             ctx.gstore(out, i, np.where(ok, result, alt), alive)
 
+        lo = min(disps, default=0)
+        hi = max(disps, default=0)
+        pad_lo, pad_hi = max(0, -lo), max(0, hi)
+
+        def select_cells():
+            """Per-cell tap/fallback choice, and whether the guard admits
+            a tap outside the input; fixed by the binding."""
+            ok = np.zeros(size, dtype=bool)
+            ok[pad_lo:max(0, min(size, size - hi))] = True
+            if vguard is None:
+                return ok, False
+            inside = ok
+            ok = np.asarray(vguard(np.arange(size, dtype=np.int64)),
+                            dtype=bool)
+            return ok, bool(np.any(ok & ~inside))
+
+        def direct_body():
+            # Linear taps are slices of one zero-padded copy of the input.
+            ok, outside = self.cached_artifact("direct_cells", params,
+                                               select_cells)
+            x = inbuf.data[:size].astype(np.float64, copy=False)
+            i = np.arange(size, dtype=np.int64)
+            if outside:
+                # The guard admits taps outside the input: gather them
+                # like the emulated path (same wrap-around or IndexError).
+                vals = [inbuf.data[np.where(ok, i + d, 0)].astype(np.float64)
+                        for d in disps]
+            else:
+                padded = np.zeros(pad_lo + size + pad_hi)
+                padded[pad_lo:pad_lo + size] = x
+                vals = [padded[pad_lo + d:pad_lo + d + size] for d in disps]
+            result = vcompute(*vals, i)
+            if vfallback is not None:
+                alt = vfallback(*([x] * len(disps)), i)
+            else:
+                alt = x
+            out.data[:size] = np.where(ok, result, alt)
+
         kernel = Kernel(f"{self.name}_naive", body, regs_per_thread=18,
-                        vector_body=vector_body)
+                        vector_body=vector_body, direct_body=direct_body)
         blocks = max(1, math.ceil(size / threads))
         device.launch(kernel, blocks, threads, {"in": inbuf, "out": out})
         return out
@@ -442,10 +480,44 @@ class TiledStencilPlan(_StencilPlanBase):
                     alt = center
                 ctx.gstore(out, i, np.where(ok, result, alt), cell)
 
+        dys = [dy for dy, _dx in pairs] or [0]
+        dxs = [dx for _dy, dx in pairs] or [0]
+
+        def select_cells():
+            """Cells computed from their taps (interior and guarded); the
+            rest take the fallback.  Fixed by the binding."""
+            ok = np.zeros((height, width), dtype=bool)
+            ok[max(0, -min(dys)):max(0, min(height, height - max(dys))),
+               max(0, -min(dxs)):max(0, min(width, width - max(dxs)))] = True
+            if vguard is not None:
+                i = np.arange(size, dtype=np.int64).reshape(height, width)
+                ok &= np.asarray(vguard(i), dtype=bool)
+            return ok
+
+        def direct_body():
+            # Every super tile's staged region is a window of one
+            # zero-padded (height+2hy, width+2hx) grid, so each tap is a
+            # single slice of it.
+            ok = self.cached_artifact("direct_cells", params, select_cells)
+            grid = inbuf.data[:size].astype(np.float64, copy=False).reshape(
+                height, width)
+            padded = np.zeros((height + 2 * hy, width + 2 * hx))
+            padded[hy:hy + height, hx:hx + width] = grid
+            vals = [padded[hy + dy:hy + dy + height, hx + dx:hx + dx + width]
+                    for dy, dx in pairs]
+            i = np.arange(size, dtype=np.int64).reshape(height, width)
+            result = vcompute(*vals, i)
+            if vfallback is not None:
+                alt = vfallback(*([grid] * len(pairs)), i)
+            else:
+                alt = grid
+            out.data[:size].reshape(height, width)[...] = np.where(
+                ok, result, alt)
+
         kernel = Kernel(
             f"{self.name}_tiled", body, regs_per_thread=20,
             shared_spec={"tile": (staged, np.float64)},
-            vector_body=vector_body)
+            vector_body=vector_body, direct_body=direct_body)
         device.launch(kernel, tiles_x * tiles_y, threads,
                       {"in": inbuf, "out": out})
         return out

@@ -12,9 +12,12 @@ barrier semantics.  Two execution modes share one entry point:
   implementation, emitted by the plan layer for barrier-free or
   warp-synchronous bodies) execute array-at-a-time via
   :class:`~repro.gpu.vectorized.VectorCtx`; tracing runs on address arrays
-  and reports identical :class:`LaunchStats`.  Kernels without a vector
-  body (or with multi-dimensional launches) fall back to the reference
-  interpreter — the mode is a fast path, never a semantics change.
+  and reports identical :class:`LaunchStats`.  An *untraced* launch of a
+  kernel that also carries a ``direct_body`` (whole-array lowering of the
+  plan, no per-warp emulation) runs that instead.  Kernels without a
+  vector body (or with multi-dimensional launches) fall back to the
+  reference interpreter — the mode is a fast path, never a semantics
+  change.
 
 The executor checks the CUDA rule that a barrier must be reached by all
 threads of the block or by none (divergent barriers raise
@@ -79,7 +82,10 @@ class Executor:
         self.spec = spec
         self.default_mode = ExecMode.coerce(default_mode)
         self.reference_launches = 0
+        #: Launches that ran in vectorized mode, on either body.
         self.vectorized_launches = 0
+        #: The subset of ``vectorized_launches`` that ran ``direct_body``.
+        self.direct_launches = 0
         self.vector_fallbacks = 0
         self.fused_chain_launches = 0
 
@@ -107,8 +113,10 @@ class Executor:
         Mutates the :class:`DeviceArray` arguments in place, exactly like a
         real launch.  With ``trace=True`` returns memory-system statistics.
         ``mode`` selects the execution path (defaults to the executor's
-        ``default_mode``); the vectorized mode silently falls back to the
-        reference interpreter when the kernel has no vector body.
+        ``default_mode``).  The vectorized mode runs the kernel's
+        ``direct_body`` when the launch is untraced, else its
+        ``vector_body``, and silently falls back to the reference
+        interpreter when the kernel has neither.
         """
         mode = ExecMode.coerce(mode) or self.default_mode
         if mode not in EXEC_MODES:
@@ -133,6 +141,12 @@ class Executor:
                 f"{self.spec.max_shared_mem_per_block}")
 
         if mode == MODE_VECTORIZED:
+            if kernel.direct_body is not None and not trace:
+                self.vectorized_launches += 1
+                self.direct_launches += 1
+                with np.errstate(all="ignore"):
+                    kernel.direct_body()
+                return None
             if kernel.vector_body is not None and self._vectorizable(config):
                 self.vectorized_launches += 1
                 return self._launch_vectorized(

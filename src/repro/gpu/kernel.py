@@ -207,6 +207,11 @@ class Kernel:
     #: Optional whole-grid numpy implementation with identical semantics to
     #: ``body``; the executor's vectorized mode uses it when present.
     vector_body: Optional[Callable] = None
+    #: Optional zero-argument whole-array implementation (closed over the
+    #: launch's buffers) with identical results to ``body``.  It performs
+    #: no per-access bookkeeping, so the executor runs it only for
+    #: untraced vectorized launches; traced launches keep ``vector_body``.
+    direct_body: Optional[Callable[[], None]] = None
 
     def shared_for(self, args: Dict[str, Any], block: Dim3) -> SharedSpec:
         if self.shared_spec is None:

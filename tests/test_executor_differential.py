@@ -19,11 +19,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.apps.tmv import GEMV_ROW_SRC
 from repro.compiler.plans import (LAYOUT_RESTRUCTURED, MapPlan, MapShape,
                                   NaiveStencilPlan, StencilShape,
                                   TiledStencilPlan)
 from repro.compiler.plans.multireduce import HorizontalReducePlan
-from repro.compiler.plans.reduceplan import (LAYOUT_ROW_SOA,
+from repro.compiler.plans.reduceplan import (LAYOUT_ROWS, LAYOUT_ROW_SOA,
                                              LAYOUT_TRANSPOSED, ReduceShape,
                                              ReduceSingleKernelPlan,
                                              ReduceThreadPerArrayPlan,
@@ -33,8 +34,9 @@ from repro.gpu import (Device, DeviceArray, MODE_REFERENCE, MODE_VECTORIZED,
                        TESLA_C2050)
 from repro.ir import classify, lift_code
 
-from workloads import (ISAMAX_SRC, SAXPY_SRC, SCALE_SRC, SDOT_SRC,
-                       STENCIL5_SRC, SUM_SRC)
+from workloads import (BLUR3_SRC, CROSS_SRC, ISAMAX_SRC, LOOSE_SRC,
+                       MAX2_SRC, MIN_SRC, SAXPY_SRC, SCALE_SRC, SDOT_SRC,
+                       STENCIL5_SRC, SUM_SRC, assert_direct, special_rows)
 from repro.compiler import RunOptions
 
 pytestmark = pytest.mark.differential
@@ -77,6 +79,7 @@ def assert_differential(plan, data, params):
     assert ref_ex.vectorized_launches == 0
     assert vec_ex.vectorized_launches > 0, "fast path never engaged"
     assert vec_ex.vector_fallbacks == 0, "fast path silently fell back"
+    assert vec_ex.direct_launches == 0, "traced launch skipped the tracer"
     assert ref.dtype == vec.dtype
     assert ref.tobytes() == vec.tobytes(), (
         f"outputs differ at {np.nonzero(ref != vec)[0][:8]}")
@@ -180,6 +183,156 @@ class TestStencilDifferential:
         params = {"size": width * height, "width": width}
         assert_differential(plan, rng.standard_normal(width * height),
                             params)
+
+
+# ----------------------------------------------------------------------
+# Untraced vectorized launches: the whole-array ``direct_body`` path
+# ----------------------------------------------------------------------
+#: name -> (source, pops per iteration)
+REDUCERS = {
+    "sum": (SUM_SRC, 1), "sdot": (SDOT_SRC, 2), "min": (MIN_SRC, 1),
+    "max": (MAX2_SRC, 2), "isamax": (ISAMAX_SRC, 1),
+    "tmv": (GEMV_ROW_SRC, 1),
+}
+
+#: family -> (plan class, extra constructor kwargs)
+REDUCE_FAMILIES = {
+    "single_kernel": (ReduceSingleKernelPlan, {}),
+    "rows_merged": (ReduceSingleKernelPlan, {"rows_per_block": 3}),
+    "two_kernel": (ReduceTwoKernelPlan, {}),
+    # Fixed block count: chunks that are not lane multiples, a partial
+    # last block, and (at n=9) an empty one.
+    "two_kernel_ragged": (ReduceTwoKernelPlan, {"initial_blocks": 4}),
+    "thread_per_array": (ReduceThreadPerArrayPlan, {}),
+}
+
+LAYOUTS = (LAYOUT_ROWS, LAYOUT_ROW_SOA, LAYOUT_TRANSPOSED)
+
+
+def _reducer_fn(name, rng, length):
+    cls = classify(lift_code(REDUCERS[name][0]))
+    arrays = ({"vec": special_rows(rng, 1, length)} if name == "tmv"
+              else None)
+    return lambda p: reducer_for(cls, p, arrays)
+
+
+class TestDirectReduce:
+    """Every reduce family x layout x reducer, untraced."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("family", sorted(REDUCE_FAMILIES))
+    @pytest.mark.parametrize("reducer", sorted(REDUCERS))
+    def test_matrix(self, rng, family, layout, reducer):
+        plan_cls, kw = REDUCE_FAMILIES[family]
+        k = REDUCERS[reducer][1]
+        for narrays, length in ((7, 9), (7, 97)):
+            shape = ReduceShape(lambda p: p["r"], lambda p: p["n"], k)
+            plan = plan_cls(SPEC, "red", shape,
+                            _reducer_fn(reducer, rng, length), layout=layout,
+                            threads=32, **kw)
+            data = special_rows(rng, narrays, length * k)
+            assert_direct(plan, data, {"r": narrays, "n": length})
+
+    def test_thread_per_array_many_blocks(self, rng):
+        shape = ReduceShape(lambda p: p["r"], lambda p: p["n"], 2)
+        plan = ReduceThreadPerArrayPlan(
+            SPEC, "red", shape, _reducer_fn("sdot", rng, 7), threads=32)
+        assert_direct(plan, special_rows(rng, 70, 14), {"r": 70, "n": 7})
+
+    @pytest.mark.parametrize("family", ["single_kernel", "two_kernel"])
+    def test_empty_and_unit_lengths(self, rng, family):
+        plan_cls, kw = REDUCE_FAMILIES[family]
+        for length in (0, 1):
+            shape = ReduceShape(lambda p: p["r"], lambda p: p["n"], 1)
+            plan = plan_cls(SPEC, "red", shape,
+                            _reducer_fn("isamax", rng, 1), threads=32, **kw)
+            assert_direct(plan, special_rows(rng, 3, length),
+                          {"r": 3, "n": length})
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("two_kernel", [False, True])
+    @pytest.mark.parametrize("bank", [("sum", "isamax"), ("sdot", "max")])
+    def test_horizontal(self, rng, layout, two_kernel, bank):
+        """Horizontally integrated reducer banks (mixed state widths, and
+        one bank popping pairs)."""
+        k = REDUCERS[bank[0]][1]
+        fns = [lambda p, c=classify(lift_code(REDUCERS[name][0])):
+               reducer_for(c, p) for name in bank]
+        for narrays, length in ((7, 9), (7, 97)):
+            shape = ReduceShape(lambda p: p["r"], lambda p: p["n"], k)
+            plan = HorizontalReducePlan(SPEC, "hred", shape, fns,
+                                        threads=32, two_kernel=two_kernel,
+                                        layout=layout)
+            data = special_rows(rng, narrays, length * k)
+            assert_direct(plan, data, {"r": narrays, "n": length})
+
+
+#: (width, height) grids: narrower than a warp, a single row, and sizes
+#: that are not multiples of any tile shape.
+STENCIL_GRIDS = ((7, 9), (40, 1), (37, 13), (33, 20))
+STENCIL_SOURCES = {"stencil5": STENCIL5_SRC, "cross": CROSS_SRC,
+                   "blur3": BLUR3_SRC}
+
+
+class TestDirectStencil:
+    @pytest.mark.parametrize("source", sorted(STENCIL_SOURCES))
+    @pytest.mark.parametrize("plan_cls,kw", [
+        (NaiveStencilPlan, {}),
+        (TiledStencilPlan, {}),
+        (TiledStencilPlan, {"tile": (32, 4)}),
+    ])
+    def test_matrix(self, rng, source, plan_cls, kw):
+        cls = classify(lift_code(STENCIL_SOURCES[source]))
+        shape = StencilShape(lambda p: p["width"],
+                             lambda p: p["size"] // p["width"])
+        plan = plan_cls(SPEC, "st", shape, cls.pattern, threads=32, **kw)
+        for width, height in STENCIL_GRIDS:
+            params = {"size": width * height, "width": width}
+            data = special_rows(rng, height, width)
+            assert_direct(plan, data, params)
+
+    @pytest.mark.parametrize("plan_cls", [NaiveStencilPlan,
+                                          TiledStencilPlan])
+    def test_guard_admitting_outside_taps(self, rng, plan_cls):
+        """Naive taps wrap like the oracle's; super tiles send those cells
+        to the fallback."""
+        cls = classify(lift_code(LOOSE_SRC))
+        shape = StencilShape(lambda p: p["width"],
+                             lambda p: p["size"] // p["width"])
+        plan = plan_cls(SPEC, "st", shape, cls.pattern, threads=32)
+        params = {"size": 5 * 11, "width": 11}
+        assert_direct(plan, rng.standard_normal(55), params)
+
+
+class TestDirectCompiled:
+    """Whole programs: every variant forced, untraced, against REFERENCE."""
+
+    def _check_variants(self, prog, data, params):
+        from repro.compiler import AdapticCompiler
+        compiled = AdapticCompiler(SPEC).compile(prog)
+        for segment in compiled.segments:
+            for plan in segment.plans:
+                force = {segment.name: plan.strategy}
+                oracle = compiled.run(
+                    data, params, force=force,
+                    options=RunOptions(exec_mode=MODE_REFERENCE))
+                device = Device(SPEC, exec_mode=MODE_VECTORIZED)
+                got = compiled.run(data, params, force=force, device=device)
+                assert got.output.tobytes() == oracle.output.tobytes(), \
+                    plan.strategy
+                ex = device.executor
+                assert ex.direct_launches == device.launch_count > 0, \
+                    plan.strategy
+
+    def test_tmv_variants(self, rng):
+        from repro.apps import tmv
+        matrix, vec, params = tmv.make_input(24, 40, rng)
+        self._check_variants(tmv.build(), matrix, params)
+
+    def test_stencil2d_variants(self, rng):
+        from repro import apps
+        data, params = apps.stencil2d.make_input(16, 8, rng)
+        self._check_variants(apps.stencil2d.build(), data, params)
 
 
 # ----------------------------------------------------------------------

@@ -248,6 +248,33 @@ class TestInjectedFaultRecovery:
 
 
 @pytest.mark.faults
+class TestTwoKernelLaunchFaults:
+    """A launch-scope NaN in either kernel of ``reduce.two_kernel`` must
+    reach the segment output, where the runtime detects it, retries on
+    another variant and degrades gracefully."""
+
+    @pytest.mark.parametrize("mode", [MODE_REFERENCE, MODE_VECTORIZED])
+    @pytest.mark.parametrize("kernel", ["_initial", "_merge"])
+    def test_nan_in_either_launch_is_detected(self, rng, kernel, mode):
+        rows, cols = 4, 4096
+        matrix, vec, params = tmv.make_input(rows, cols, rng)
+        options = RunOptions(exec_mode=mode)
+        assert _compile().run(matrix, params, options=options) \
+            .selections[0].strategy.startswith("reduce.two_kernel")
+        injector = FaultInjector(
+            [FaultPlan(family=ANY_FAMILY, kind=KIND_NAN, kernel=kernel)])
+        guarded = _compile(faults=injector)
+        result = guarded.run(matrix, params, options=options)
+        assert injector.faults_injected == 1
+        assert guarded.stats.retries == 1
+        assert guarded.stats.degraded_runs == 1
+        assert not np.isnan(result.output).any()
+        np.testing.assert_allclose(
+            result.output, tmv.reference(matrix, vec, rows, cols),
+            rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.faults
 class TestFaultGate:
     """The acceptance gate: degraded sweep is bit-identical + counted."""
 

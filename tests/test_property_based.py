@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+import functools
 import math
 
 import numpy as np
@@ -13,10 +14,19 @@ from repro.ir import classify, lift_code, run_work
 from repro.ir.rates import RateExpr
 from repro.compiler.exprgen import compile_scalar_fn
 from repro.compiler.fusion import compose_maps, fuse_map_into_reduction
-from repro.compiler.plans import (ReduceShape, ReduceSingleKernelPlan,
-                                  ReduceTwoKernelPlan)
-from repro.compiler.reducers import ScalarReducer
+from repro.compiler.plans import (NaiveStencilPlan, ReduceShape,
+                                  ReduceSingleKernelPlan,
+                                  ReduceThreadPerArrayPlan,
+                                  ReduceTwoKernelPlan, StencilShape,
+                                  TiledStencilPlan)
+from repro.compiler.plans.multireduce import HorizontalReducePlan
+from repro.compiler.plans.reduceplan import (LAYOUT_ROW_SOA, LAYOUT_ROWS,
+                                             LAYOUT_TRANSPOSED)
+from repro.compiler.reducers import ScalarReducer, reducer_for
 from repro.streamit import Filter, Pipeline, flatten, rate_match
+
+from workloads import (ISAMAX_SRC, MIN_SRC, STENCIL5_SRC, SUM_SRC,
+                       assert_direct, special_rows)
 
 SPEC = TESLA_C2050
 
@@ -99,6 +109,64 @@ class TestRateExprProperties:
     def test_mul_add_operators(self, a, b):
         r = RateExpr("n") * 2 + RateExpr("m")
         assert r.evaluate({"n": a, "m": b}) == 2 * a + b
+
+
+# ---------------------------------------------------------------------------
+# Whole-array lowering: untraced vectorized launches vs the oracle
+# ---------------------------------------------------------------------------
+
+def _horizontal(spec, name, shape, fn, two_kernel, **kw):
+    argmax = classify(lift_code(ISAMAX_SRC))
+    fns = [fn, lambda p: reducer_for(argmax, p)]
+    return HorizontalReducePlan(spec, name, shape, fns,
+                                two_kernel=two_kernel, **kw)
+
+
+_REDUCE_PLANS = {
+    "single_kernel": ReduceSingleKernelPlan,
+    "rows_merged": functools.partial(ReduceSingleKernelPlan,
+                                     rows_per_block=2),
+    "two_kernel": ReduceTwoKernelPlan,
+    "thread_per_array": ReduceThreadPerArrayPlan,
+    "hreduce_single": functools.partial(_horizontal, two_kernel=False),
+    "hreduce_two": functools.partial(_horizontal, two_kernel=True),
+}
+
+
+@pytest.mark.differential
+class TestDirectLoweringProperty:
+    @given(st.sampled_from(sorted(_REDUCE_PLANS) + ["stencil.global",
+                                                   "stencil.super_tile"]),
+           st.sampled_from([LAYOUT_ROWS, LAYOUT_ROW_SOA,
+                            LAYOUT_TRANSPOSED]),
+           st.sampled_from([SUM_SRC, MIN_SRC, ISAMAX_SRC]),
+           st.sampled_from([32, 64]),
+           st.integers(1, 12), st.integers(0, 150),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_untraced_launches_match_reference(
+            self, family, layout, source, threads, rows, cols, seed):
+        """Random shapes of every lowered family are bit-identical to the
+        REFERENCE oracle; ``rows x cols`` is (arrays x length) for a
+        reduction and (height x width) for a stencil."""
+        rng = np.random.default_rng(seed)
+        if family.startswith("stencil"):
+            cols = max(1, cols // 3)
+            pattern = classify(lift_code(STENCIL5_SRC)).pattern
+            shape = StencilShape(lambda p: p["width"],
+                                 lambda p: p["size"] // p["width"])
+            cls = (NaiveStencilPlan if family == "stencil.global"
+                   else TiledStencilPlan)
+            plan = cls(SPEC, "st", shape, pattern, threads=threads)
+            params = {"size": rows * cols, "width": cols}
+        else:
+            red = classify(lift_code(source))
+            shape = ReduceShape(lambda p: p["r"], lambda p: p["n"], 1)
+            plan = _REDUCE_PLANS[family](
+                SPEC, "red", shape, lambda p: reducer_for(red, p),
+                layout=layout, threads=threads)
+            params = {"r": rows, "n": cols}
+        assert_direct(plan, special_rows(rng, rows, cols), params)
 
 
 # ---------------------------------------------------------------------------
