@@ -43,9 +43,12 @@ from .errors import (BundleArchError, BundleFormatError, BundleProgramError,
                      BundleVersionError)
 
 #: Schema version written into every bundle; bump on layout changes.
-BUNDLE_SCHEMA_VERSION = 1
+#: Version 2 keys ``sources`` per expression (``kind|name|args|digest``)
+#: with binding-independent factory sources; version-1 keys carried
+#: folded scalars, so a version-1 bundle would load and then compile cold.
+BUNDLE_SCHEMA_VERSION = 2
 #: Schema versions this build can read.
-SUPPORTED_BUNDLE_VERSIONS = (1,)
+SUPPORTED_BUNDLE_VERSIONS = (2,)
 
 
 # ----------------------------------------------------------------------
@@ -202,8 +205,10 @@ class ArtifactBundle:
     strategies, pruned strategies, dispatch payload, permutations);
     ``costs``/``transfers`` are memo entries; ``calibration`` is the
     :meth:`CalibrationStore.to_dict` payload; ``sources`` maps exprgen
-    source keys to generated kernel source.  ``meta`` is free-form
-    (e.g. the app registry name that built the program).
+    source keys to generated kernel source — one factory per expression,
+    which hydrates every input shape, not only the warmed ones.
+    ``meta`` is free-form (e.g. the app registry name that built the
+    program).
     """
 
     schema_version: int

@@ -191,9 +191,11 @@ def _bundle(parser, args, spec) -> int:
     (the full fig10 shape sweep for ``tmv``; prune-only warm state for
     other apps).  ``load`` reconstructs a warm program in *this*
     process — run it from a fresh interpreter to demonstrate
-    zero-cold-start — and for tmv bundles re-serves the sweep and fails
-    loudly if any cold-start counter is nonzero.  ``inspect`` prints
-    the bundle's invalidation key and contents without applying it.
+    zero-cold-start — and for tmv bundles re-serves the sweep, then a
+    sweep of unseen shapes, and fails loudly if any cold-start counter
+    (or any expression compile at an unseen shape) is nonzero.
+    ``inspect`` prints the bundle's invalidation key and contents
+    without applying it.
     """
     from .artifacts import ArtifactBundle
 
@@ -228,11 +230,11 @@ def _bundle(parser, args, spec) -> int:
                 seed=int(bundle.meta.get("seed", 0)))
             print(f"# zero-cold-start check — tmv from {args.path}")
             for key, value in report.items():
-                print(f"{key:16s} {value}")
+                print(f"{key:22s} {value}")
             cold_work = (report["model_evals"] + report["expr_compiles"]
-                         + report["perm_builds"])
-            print(f"verdict           "
-                  f"{'OK' if cold_work == 0 else 'FAIL'}")
+                         + report["perm_builds"]
+                         + report["unseen_expr_compiles"])
+            print(f"{'verdict':22s} {'OK' if cold_work == 0 else 'FAIL'}")
             return 0 if cold_work == 0 else 1
         compiled = api.load_bundle(args.path, force=args.force)
         print(f"loaded {args.path} into a warm "

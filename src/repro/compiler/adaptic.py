@@ -418,21 +418,11 @@ class AdapticCompiler:
         arrays_fn = self._arrays_fn(consts)
         pattern = spec.pattern
         cls = ScalarReducer if spec.kind == "reduction" else ArgReducer
-        # Model queries hit this factory once per variant per selection;
-        # cache array-free reducers by their scalar parameters so the
-        # element functions are compiled once, not per dispatch.
-        cache: Dict[tuple, object] = {}
 
         def fn(params):
             if params is None:
                 return cls(pattern, None)
-            arrays = arrays_fn(params)
-            if arrays:
-                return cls(pattern, params, arrays)
-            key = freeze_scalars(params)
-            if key not in cache:
-                cache[key] = cls(pattern, params)
-            return cache[key]
+            return cls(pattern, params, arrays_fn(params))
 
         return fn
 

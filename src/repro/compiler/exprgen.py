@@ -1,10 +1,12 @@
 """Expression code generation: IR → Python (simulator) and IR → CUDA C.
 
 Kernel templates inline actor element functions into their thread bodies.
-The Python emitter produces a compiled scalar function (program parameters
-are constant-folded at build time, so the hot inner loops of the functional
-executor pay no dictionary lookups); the C emitter produces the expression
-text spliced into generated CUDA kernels.
+The Python emitter generates each element function once per expression,
+over symbolic parameters: a program parameter renders as a bound name, and
+the compiled source is a factory that returns the element function for one
+binding.  A new input shape therefore costs one factory call, never a
+re-render or a re-``exec``.  The C emitter produces the expression text
+spliced into generated CUDA kernels.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import dataclasses
 import hashlib
 import math
 import time
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as _np
 
@@ -95,9 +97,9 @@ def expr_fingerprint(expr: N.Expr) -> str:
     """Stable digest of an IR expression's structure.
 
     Part of the kernel-source registry key: two expressions with the
-    same fingerprint render to the same source under the same arguments
-    and folded scalars, so a bundle-loaded source can only ever be
-    exec'd in place of an identical rendering.
+    same fingerprint render to the same source under the same arguments,
+    so a bundle-loaded source can only ever be exec'd in place of an
+    identical rendering.
     """
     parts = []
 
@@ -137,34 +139,18 @@ def expr_fingerprint(expr: N.Expr) -> str:
     return hashlib.sha256("".join(parts).encode("utf-8")).hexdigest()[:16]
 
 
-def _canon_scalar(value) -> str:
-    """Deterministic, type-tagged rendering of one folded scalar."""
-    if isinstance(value, (bool, _np.bool_)):
-        return f"b:{bool(value)}"
-    if isinstance(value, (int, _np.integer)):
-        return f"i:{int(value)}"
-    if isinstance(value, (float, _np.floating)):
-        return f"f:{float(value)!r}"
-    return f"s:{value!r}"
-
-
 def source_key(kind: str, name: str, args: Sequence[str],
-               params, expr: N.Expr) -> str:
-    """Registry key of one compiled function.
+               expr: N.Expr) -> str:
+    """Registry key of one compiled element factory.
 
     The generated source depends on exactly these inputs: the emitter
     kind (scalar vs vector namespace), the function name, the argument
-    list, the scalar parameters folded into the body, and the expression
-    itself.  Auxiliary arrays are referenced by name in the source and
-    bound at exec time, so they are deliberately *not* part of the key —
-    the same source re-binds to a fresh process's arrays.
+    list and the expression itself.  Parameter values and auxiliary
+    arrays are bound per call (:meth:`ElementFactory.bind`), so neither
+    is part of the key: one source serves every binding, in this process
+    or in a fresh one that loads it from a bundle.
     """
-    scalars = ",".join(
-        f"{k}={_canon_scalar(v)}"
-        for k, v in sorted((k, v) for k, v in (params or {}).items()
-                           if _np.isscalar(v)))
-    return (f"{kind}|{name}|{','.join(args)}|{scalars}|"
-            f"{expr_fingerprint(expr)}")
+    return f"{kind}|{name}|{','.join(args)}|{expr_fingerprint(expr)}"
 
 
 class KernelSourceRegistry:
@@ -174,12 +160,13 @@ class KernelSourceRegistry:
 
     * every compile records ``key -> source``, which is what
       :meth:`CompiledProgram.save_bundle` exports as the bundle's
-      compiled-kernel artifacts;
+      compiled-kernel artifacts — one factory source per expression,
+      which serves every parameter binding;
     * sources *loaded* from a bundle are consulted before rendering: a
       hit re-execs the stored text (a hydration, counted in
       :attr:`CompileCounter.hydrated`) instead of re-deriving it from
-      IR, which is how a bundle-loaded process serves its first run with
-      a zero compile-counter delta.
+      IR, which is how a bundle-loaded process serves its first run —
+      at any input shape — with a zero compile-counter delta.
 
     Self-recorded sources are never consulted on the compile path — a
     cold re-run after :meth:`CompiledProgram.clear_warm_caches` must
@@ -226,46 +213,48 @@ SOURCE_REGISTRY = KernelSourceRegistry()
 
 # ---------------------------------------------------------------------------
 # Python emission
+#
+# A program parameter is never folded into generated source.  A ``Var``
+# that is not an argument renders as the bound name ``_s_<name>`` (the
+# prefix keeps it clear of ``math``, ``_np`` and the function's own name),
+# and an auxiliary array by its own name.  Both are parameters of a
+# factory ``_make(<scalars>, <arrays>)`` that returns the element function,
+# so each expression is compiled once and every binding only calls
+# ``_make``.
 # ---------------------------------------------------------------------------
 
-def python_expr(expr: N.Expr, args: Sequence[str],
-                params: Dict[str, float]) -> str:
+def _bound_name(name: str) -> str:
+    return "_s_" + name
+
+
+def python_expr(expr: N.Expr, args: Sequence[str]) -> str:
     """Render ``expr`` as a Python expression over ``args``.
 
-    Variables in ``params`` are folded to constants; anything else must be
-    listed in ``args``.
+    Variables outside ``args`` render as bound parameter names
+    (``_s_<name>``), supplied per binding by :meth:`ElementFactory.bind`.
     """
     if isinstance(expr, N.Const):
         return repr(expr.value)
     if isinstance(expr, N.Var):
-        if expr.name in args:
-            return expr.name
-        if expr.name in params:
-            value = params[expr.name]
-            if isinstance(value, int):
-                return repr(value)
-            return repr(float(value))  # normalizes numpy scalars
-        raise ExprGenError(
-            f"unbound variable {expr.name!r} (args={list(args)}, "
-            f"params={sorted(params)})")
+        return expr.name if expr.name in args else _bound_name(expr.name)
     if isinstance(expr, N.BinOp):
-        left = python_expr(expr.left, args, params)
-        right = python_expr(expr.right, args, params)
+        left = python_expr(expr.left, args)
+        right = python_expr(expr.right, args)
         return f"({left} {expr.op} {right})"
     if isinstance(expr, N.UnaryOp):
-        inner = python_expr(expr.operand, args, params)
+        inner = python_expr(expr.operand, args)
         return f"(not {inner})" if expr.op == "not" else f"(-{inner})"
     if isinstance(expr, N.Call):
         if expr.fn == "select":
-            cond, a, b = (python_expr(e, args, params) for e in expr.args)
+            cond, a, b = (python_expr(e, args) for e in expr.args)
             return f"({a} if {cond} else {b})"
         fn = _PY_INTRINSICS.get(expr.fn)
         if fn is None:
             raise ExprGenError(f"unknown intrinsic {expr.fn!r}")
-        inner = ", ".join(python_expr(a, args, params) for a in expr.args)
+        inner = ", ".join(python_expr(a, args) for a in expr.args)
         return f"{fn}({inner})"
     if isinstance(expr, N.Index):
-        idx = python_expr(expr.index, args, params)
+        idx = python_expr(expr.index, args)
         # float() widens auxiliary-array elements to 64-bit registers, the
         # same contract ThreadCtx.gload follows, so the scalar and vector
         # emitters do identical float64 arithmetic.
@@ -275,35 +264,175 @@ def python_expr(expr: N.Expr, args: Sequence[str],
         "(pops/peeks must be pre-substituted by the kernel template)")
 
 
-def compile_scalar_fn(expr: N.Expr, args: Sequence[str],
-                      params: Dict[str, float],
-                      name: str = "elem",
-                      arrays: Dict[str, object] = None) -> Callable:
-    """Compile ``expr`` to a Python function ``f(*args)``.
+def _free_names(expr: N.Expr, args: Sequence[str], scalars: List[str],
+                arrays: List[str]) -> None:
+    """Append ``expr``'s parameter and auxiliary-array names, in the
+    order the emitters render them, skipping names already listed."""
+    if isinstance(expr, N.Var):
+        if expr.name not in args and expr.name not in scalars:
+            scalars.append(expr.name)
+        return
+    if isinstance(expr, N.Index) and expr.array not in arrays:
+        arrays.append(expr.array)
+    for child in expr.children():
+        _free_names(child, args, scalars, arrays)
 
-    ``arrays`` binds auxiliary (:class:`~repro.ir.nodes.Index`) arrays into
-    the function's namespace.
+
+def _bind_scalar(name: str, args: Sequence[str], params) -> object:
+    """The value a parameter binds to: ints (and bools) as-is, anything
+    else — numpy scalars included — as a Python float."""
+    if name not in params:
+        raise ExprGenError(
+            f"unbound variable {name!r} (args={list(args)}, "
+            f"params={sorted(params)})")
+    value = params[name]
+    return value if isinstance(value, int) else float(value)
+
+
+class ElementFactory:
+    """One generated source, compiled once; :meth:`bind` specializes it.
+
+    ``make`` is the compiled ``_make``; ``scalars`` and ``arrays`` name
+    its parameters in order (parameter names unprefixed, array names as
+    the source spells them).
+    """
+
+    __slots__ = ("make", "source", "args", "scalars", "arrays")
+
+    def __init__(self, make: Callable, source: str, args: Sequence[str],
+                 scalars: Sequence[str], arrays: Sequence[str]):
+        self.make = make
+        self.source = source
+        self.args = list(args)
+        self.scalars = tuple(scalars)
+        self.arrays = tuple(arrays)
+
+    def bind(self, params, arrays: Dict[str, object] = None) -> Callable:
+        """The element function under one parameter binding.
+
+        Raises :class:`ExprGenError` for a variable that is neither an
+        argument nor a parameter.  A missing auxiliary array binds as
+        ``None`` and fails only if the function reads it.
+        """
+        params = params or {}
+        arrays = arrays or {}
+        fn = self.make(
+            *[_bind_scalar(name, self.args, params)
+              for name in self.scalars],
+            *[arrays.get(name) for name in self.arrays])
+        fn.__source__ = self.source
+        return fn
+
+
+def _factory_source(name: str, args: Sequence[str], scalars: Sequence[str],
+                    arrays: Sequence[str], body_lines: Sequence[str]) -> str:
+    header = ", ".join([_bound_name(s) for s in scalars] + list(arrays))
+    lines = [f"def _make({header}):",
+             f"    def {name}({', '.join(args)}):"]
+    lines += [f"        {line}" for line in body_lines]
+    lines += [f"    return {name}"]
+    return "\n".join(lines) + "\n"
+
+
+def _exec_factory(kind: str, key: str, name: str, args: Sequence[str],
+                     scalars: Sequence[str], arrays: Sequence[str],
+                     render: Callable[[], str],
+                     namespace: Dict[str, object]) -> ElementFactory:
+    """Exec one factory source, hydrating from a bundle when possible.
+
+    ``render`` runs only when no bundle-loaded source exists for ``key``;
+    either way the source is recorded for later bundle exports.
     """
     started = time.perf_counter()
-    key = source_key("scalar", name, args, params, expr)
     source = SOURCE_REGISTRY.loaded_source(key)
     hydrated = source is not None
     if not hydrated:
-        body = python_expr(expr, args, params)
-        source = f"def {name}({', '.join(args)}):\n    return {body}\n"
-    namespace = {"math": math}
-    if arrays:
-        namespace.update(arrays)
+        source = render()
     exec(compile(source, f"<exprgen:{name}>", "exec"), namespace)
-    fn = namespace[name]
-    fn.__source__ = source
     SOURCE_REGISTRY.record(key, source)
     if hydrated:
         COMPILE_COUNTER.hydrated += 1
-    else:
+    elif kind == "scalar":
         COMPILE_COUNTER.scalar += 1
+    else:
+        COMPILE_COUNTER.vector += 1
     COMPILE_COUNTER.seconds += time.perf_counter() - started
-    return fn
+    return ElementFactory(namespace["_make"], source, args, scalars, arrays)
+
+
+def _expr_factory(kind: str, expr: N.Expr, args: Sequence[str],
+                    name: str) -> ElementFactory:
+    """Compile ``expr`` once into a binding-independent factory.
+
+    ``kind`` is ``"scalar"`` (math-module semantics, one element per
+    call) or ``"vector"`` (the numpy namespace below, arrays per call).
+    """
+    render_body = python_expr if kind == "scalar" else vector_expr
+    scalars: List[str] = []
+    arrays: List[str] = []
+    _free_names(expr, args, scalars, arrays)
+    namespace = ({"math": math} if kind == "scalar"
+                 else dict(_VEC_NAMESPACE))
+    return _exec_factory(
+        kind, source_key(kind, name, args, expr), name, args, scalars,
+        arrays,
+        lambda: _factory_source(name, args, scalars, arrays,
+                                [f"return {render_body(expr, args)}"]),
+        namespace)
+
+
+class KernelFactories:
+    """The element factories one owner has compiled.
+
+    Keyed per ``(kind, name, args, expression)``.  Expressions are keyed
+    by identity — hashing an IR tree per lookup would cost as much as a
+    bind — and each entry pins its expression, so a key is never
+    recycled while the cache holds it.  The owner keeps the cache beside
+    its other warm state and clears it with that state — a compiled
+    program shares one across its plans, a standalone plan or a caller
+    of a module-level helper holds its own; nothing here is
+    process-global.
+    """
+
+    def __init__(self):
+        self._entries: Dict[tuple, tuple] = {}
+
+    def factory(self, kind: str, expr: N.Expr, args: Sequence[str],
+                name: str) -> ElementFactory:
+        key = (kind, name, tuple(args), id(expr))
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = (expr, _expr_factory(kind, expr, args, name))
+            self._entries[key] = entry
+        return entry[1]
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
+def _bound_fn(kind: str, expr: N.Expr, args: Sequence[str], params,
+              name: str, arrays, factories: Optional[KernelFactories]
+              ) -> Callable:
+    if factories is None:
+        factory = _expr_factory(kind, expr, args, name)
+    else:
+        factory = factories.factory(kind, expr, args, name)
+    return factory.bind(params, arrays)
+
+
+def compile_scalar_fn(expr: N.Expr, args: Sequence[str],
+                      params: Dict[str, float],
+                      name: str = "elem",
+                      arrays: Dict[str, object] = None,
+                      factories: Optional[KernelFactories] = None
+                      ) -> Callable:
+    """Build ``expr`` as a Python function ``f(*args)`` under ``params``.
+
+    ``arrays`` binds auxiliary (:class:`~repro.ir.nodes.Index`) arrays.
+    With ``factories`` the expression compiles at most once for that
+    cache and this call only binds; without it, it compiles afresh.
+    """
+    return _bound_fn("scalar", expr, args, params, name, arrays, factories)
 
 
 def compile_combine_fn(kind: str) -> Callable:
@@ -333,7 +462,9 @@ def _v_exact(fn: Callable) -> Callable:
     ufunc = _np.frompyfunc(fn, 1, 1)
 
     def apply(x):
-        return ufunc(_np.asarray(x, dtype=_np.float64)).astype(_np.float64)
+        # asarray, not astype: on a 0-d input the ufunc returns a float.
+        return _np.asarray(ufunc(_np.asarray(x, dtype=_np.float64)),
+                           dtype=_np.float64)
     return apply
 
 
@@ -365,40 +496,39 @@ _VEC_INTRINSICS = {
 }
 
 
-def _vec_namespace() -> Dict[str, object]:
-    return {
-        "_np": _np, "math": math,
-        "_v_exp": _v_exact(math.exp), "_v_log": _v_exact(math.log),
-        "_v_sin": _v_exact(math.sin), "_v_cos": _v_exact(math.cos),
-        "_v_min": _v_min, "_v_max": _v_max,
-        "_v_int": _v_int, "_v_float": _v_float, "_v_index": _v_index,
-        "_v_where": _np.where,
-        "_v_and": _np.logical_and, "_v_or": _np.logical_or,
-        "_v_not": _np.logical_not,
-    }
+#: Globals of every vector factory; each compile execs into a copy.
+_VEC_NAMESPACE: Dict[str, object] = {
+    "_np": _np, "math": math,
+    "_v_exp": _v_exact(math.exp), "_v_log": _v_exact(math.log),
+    "_v_sin": _v_exact(math.sin), "_v_cos": _v_exact(math.cos),
+    "_v_min": _v_min, "_v_max": _v_max,
+    "_v_int": _v_int, "_v_float": _v_float, "_v_index": _v_index,
+    "_v_where": _np.where,
+    "_v_and": _np.logical_and, "_v_or": _np.logical_or,
+    "_v_not": _np.logical_not,
+}
 
 
-def vector_expr(expr: N.Expr, args: Sequence[str],
-                params: Dict[str, float]) -> str:
+def vector_expr(expr: N.Expr, args: Sequence[str]) -> str:
     """Render ``expr`` as a numpy expression over array-valued ``args``."""
     if isinstance(expr, (N.Const, N.Var)):
-        return python_expr(expr, args, params)
+        return python_expr(expr, args)
     if isinstance(expr, N.BinOp):
-        left = vector_expr(expr.left, args, params)
-        right = vector_expr(expr.right, args, params)
+        left = vector_expr(expr.left, args)
+        right = vector_expr(expr.right, args)
         if expr.op == "and":
             return f"_v_and({left}, {right})"
         if expr.op == "or":
             return f"_v_or({left}, {right})"
         return f"({left} {expr.op} {right})"
     if isinstance(expr, N.UnaryOp):
-        inner = vector_expr(expr.operand, args, params)
+        inner = vector_expr(expr.operand, args)
         return f"_v_not({inner})" if expr.op == "not" else f"(-{inner})"
     if isinstance(expr, N.Call):
         if expr.fn == "select":
-            cond, a, b = (vector_expr(e, args, params) for e in expr.args)
+            cond, a, b = (vector_expr(e, args) for e in expr.args)
             return f"_v_where({cond}, {a}, {b})"
-        inners = [vector_expr(a, args, params) for a in expr.args]
+        inners = [vector_expr(a, args) for a in expr.args]
         if expr.fn in ("min", "max"):
             acc = inners[0]
             for nxt in inners[1:]:
@@ -409,7 +539,7 @@ def vector_expr(expr: N.Expr, args: Sequence[str],
             raise ExprGenError(f"unknown intrinsic {expr.fn!r}")
         return f"{fn}({', '.join(inners)})"
     if isinstance(expr, N.Index):
-        idx = vector_expr(expr.index, args, params)
+        idx = vector_expr(expr.index, args)
         return f"_v_index({expr.array}, {idx})"
     raise ExprGenError(
         f"cannot lower {type(expr).__name__} to a vector expression "
@@ -419,32 +549,16 @@ def vector_expr(expr: N.Expr, args: Sequence[str],
 def compile_vector_fn(expr: N.Expr, args: Sequence[str],
                       params: Dict[str, float],
                       name: str = "velem",
-                      arrays: Dict[str, object] = None) -> Callable:
-    """Compile ``expr`` to a numpy function ``f(*args)`` over arrays.
+                      arrays: Dict[str, object] = None,
+                      factories: Optional[KernelFactories] = None
+                      ) -> Callable:
+    """Build ``expr`` as a numpy function ``f(*args)`` over arrays.
 
     Semantically identical to :func:`compile_scalar_fn` applied lane-wise
-    (same float64 arithmetic, same tie rules, same libm transcendentals).
+    (same float64 arithmetic, same tie rules, same libm transcendentals,
+    same bound parameter values); ``factories`` works the same way.
     """
-    started = time.perf_counter()
-    key = source_key("vector", name, args, params, expr)
-    source = SOURCE_REGISTRY.loaded_source(key)
-    hydrated = source is not None
-    if not hydrated:
-        body = vector_expr(expr, args, params)
-        source = f"def {name}({', '.join(args)}):\n    return {body}\n"
-    namespace = _vec_namespace()
-    if arrays:
-        namespace.update(arrays)
-    exec(compile(source, f"<exprgen:{name}>", "exec"), namespace)
-    fn = namespace[name]
-    fn.__source__ = source
-    SOURCE_REGISTRY.record(key, source)
-    if hydrated:
-        COMPILE_COUNTER.hydrated += 1
-    else:
-        COMPILE_COUNTER.vector += 1
-    COMPILE_COUNTER.seconds += time.perf_counter() - started
-    return fn
+    return _bound_fn("vector", expr, args, params, name, arrays, factories)
 
 
 # ---------------------------------------------------------------------------
@@ -533,19 +647,38 @@ def chain_fingerprint(stages: Sequence[ChainStage]) -> str:
     return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:16]
 
 
-def chain_source_key(chain_id: str, stages: Sequence[ChainStage],
-                     params) -> str:
-    """Registry key of one fused-chain function (bundle participation)."""
-    scalars = ",".join(
-        f"{k}={_canon_scalar(v)}"
-        for k, v in sorted((k, v) for k, v in (params or {}).items()
-                           if _np.isscalar(v)))
-    return (f"chain|{chain_id}|{len(stages)}|{scalars}|"
-            f"{chain_fingerprint(stages)}")
+def chain_source_key(chain_id: str, stages: Sequence[ChainStage]) -> str:
+    """Registry key of one fused-chain function (bundle participation).
+
+    Geometry is part of :func:`chain_fingerprint`; parameter values are
+    bound per call, so they are not part of the key.
+    """
+    return f"chain|{chain_id}|{len(stages)}|{chain_fingerprint(stages)}"
 
 
 def _chain_buffers(n_stages: int) -> list:
     return (["_src"] + [f"_t{i}" for i in range(n_stages - 1)] + ["_out"])
+
+
+def _stage_args(stage: ChainStage) -> List[str]:
+    return [f"_x{j}" for j in range(stage.k)] + ["_i"]
+
+
+def _chain_parts(stages: Sequence[ChainStage]):
+    """Per-stage renamed ``(gather, outputs)`` plus the chain's parameter
+    and auxiliary-array names, in rendering order."""
+    renamed, scalars, arrays = [], [], []
+    for si, stage in enumerate(stages):
+        renames = _stage_renames(si, stage)
+        gather = (None if stage.gather is None
+                  else _rename_arrays(stage.gather, renames))
+        outputs = [_rename_arrays(out, renames) for out in stage.outputs]
+        if gather is not None:
+            _free_names(gather, ["_i"], scalars, arrays)
+        for out in outputs:
+            _free_names(out, _stage_args(stage), scalars, arrays)
+        renamed.append((gather, outputs))
+    return renamed, scalars, arrays
 
 
 def _load_index(j: int, k: int, n: int, restructured: bool) -> str:
@@ -559,40 +692,38 @@ def _store_index(idx: int, m: int) -> str:
     return "_i" if m == 1 else f"(_i * {m} + {idx})"
 
 
-def render_chain_source(stages: Sequence[ChainStage], params,
+def render_chain_source(stages: Sequence[ChainStage],
                         name: str = "chain") -> str:
-    """Render a fused-chain numpy source over raw buffer arrays.
+    """Render a fused-chain numpy factory source over raw buffer arrays.
 
-    The function signature is ``(src, t0, ..., out)``: one buffer per
-    stage boundary.  Per stage the loads replicate the plan's exact
-    vector_body indexing (so layout variants need no special-casing), the
-    bodies reuse :func:`vector_expr` (same float64 arithmetic, same libm
-    transcendentals), and the stores cover every output element — which
-    is what makes zero-filled recycled arena buffers safe.
+    The factory's ``_make(<parameters>, <aux arrays>)`` returns a
+    function ``(src, t0, ..., out)``: one buffer per stage boundary.  Per
+    stage the loads replicate the plan's exact vector_body indexing (so
+    layout variants need no special-casing), the bodies reuse
+    :func:`vector_expr` (same float64 arithmetic, same libm
+    transcendentals, same bound parameters), and the stores cover every
+    output element — which is what makes zero-filled recycled arena
+    buffers safe.  Stage geometry (iteration counts, strides) is baked
+    into the source.
     """
     bufs = _chain_buffers(len(stages))
-    lines = [f"def {name}({', '.join(bufs)}):"]
-    for si, stage in enumerate(stages):
+    renamed, scalars, arrays = _chain_parts(stages)
+    lines = []
+    for si, (stage, (gather, outputs)) in enumerate(zip(stages, renamed)):
         src, dst = bufs[si], bufs[si + 1]
-        renames = _stage_renames(si, stage)
         n = stage.iterations
-        args = [f"_x{j}" for j in range(stage.k)] + ["_i"]
-        lines.append(f"    _i = _np.arange({n}, dtype=_np.int64)")
-        if stage.gather is not None:
-            gexpr = vector_expr(_rename_arrays(stage.gather, renames),
-                                ["_i"], params)
-            lines.append(f"    _gi = _v_int({gexpr})")
-            lines.append(f"    _x0 = {src}[_gi].astype(_np.float64)")
+        lines.append(f"_i = _np.arange({n}, dtype=_np.int64)")
+        if gather is not None:
+            lines.append(f"_gi = _v_int({vector_expr(gather, ['_i'])})")
+            lines.append(f"_x0 = {src}[_gi].astype(_np.float64)")
         else:
             for j in range(stage.k):
                 idx = _load_index(j, stage.k, n, stage.restructured)
-                lines.append(
-                    f"    _x{j} = {src}[{idx}].astype(_np.float64)")
-        for idx, out in enumerate(stage.outputs):
-            body = vector_expr(_rename_arrays(out, renames), args, params)
-            lines.append(
-                f"    {dst}[{_store_index(idx, stage.m)}] = {body}")
-    return "\n".join(lines) + "\n"
+                lines.append(f"_x{j} = {src}[{idx}].astype(_np.float64)")
+        for idx, out in enumerate(outputs):
+            body = vector_expr(out, _stage_args(stage))
+            lines.append(f"{dst}[{_store_index(idx, stage.m)}] = {body}")
+    return _factory_source(name, bufs, scalars, arrays, lines)
 
 
 def compile_chain_fn(stages: Sequence[ChainStage], params,
@@ -600,31 +731,22 @@ def compile_chain_fn(stages: Sequence[ChainStage], params,
     """Compile a fused segment chain to one numpy function.
 
     Rides the same registry mechanics as the per-kernel compilers: the
-    rendered source is recorded under :func:`chain_source_key` (so it
-    participates in :class:`ArtifactBundle` save/load), and a
-    bundle-loaded source hydrates instead of re-rendering — a
-    bundle-warmed process's first fused run compiles nothing.
+    rendered factory is recorded under :func:`chain_source_key` (so it
+    participates in :class:`ArtifactBundle` save/load), a bundle-loaded
+    source hydrates instead of re-rendering — a bundle-warmed process's
+    first fused run compiles nothing — and ``params`` bind exactly as
+    for :func:`compile_vector_fn`.
     """
-    started = time.perf_counter()
-    key = chain_source_key(chain_id, stages, params)
-    source = SOURCE_REGISTRY.loaded_source(key)
-    hydrated = source is not None
-    if not hydrated:
-        source = render_chain_source(stages, params, name=name)
-    namespace = _vec_namespace()
-    for si, stage in enumerate(stages):
-        for aname, arr in stage.arrays.items():
-            namespace[_stage_aux_name(si, aname)] = arr
-    exec(compile(source, f"<exprgen:{name}>", "exec"), namespace)
-    fn = namespace[name]
-    fn.__source__ = source
-    SOURCE_REGISTRY.record(key, source)
-    if hydrated:
-        COMPILE_COUNTER.hydrated += 1
-    else:
-        COMPILE_COUNTER.vector += 1
-    COMPILE_COUNTER.seconds += time.perf_counter() - started
-    return fn
+    _renamed, scalars, arrays = _chain_parts(stages)
+    factory = _exec_factory(
+        "vector", chain_source_key(chain_id, stages), name,
+        _chain_buffers(len(stages)), scalars, arrays,
+        lambda: render_chain_source(stages, name=name),
+        dict(_VEC_NAMESPACE))
+    aux = {_stage_aux_name(si, aname): arr
+           for si, stage in enumerate(stages)
+           for aname, arr in stage.arrays.items()}
+    return factory.bind(params, aux)
 
 
 _VEC_COMBINE = {

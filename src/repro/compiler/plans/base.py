@@ -20,6 +20,7 @@ import numpy as np
 
 from ...gpu import Device, DeviceArray, GPUSpec
 from ...perfmodel import KernelWorkload, PerformanceModel
+from ..exprgen import KernelFactories
 
 #: Canonical buffer names inside a segment.
 IN = "in"
@@ -88,9 +89,13 @@ class KernelPlan(abc.ABC):
         self.optimizations: List[str] = []
         #: Input layout the plan requires.
         self.input_layout: str = LAYOUT_INTERLEAVED
-        #: Warm-path cache: compiled artifacts (element fns, reducers,
+        #: Warm-path cache: bound artifacts (element fns, reducers,
         #: offsets, restructure permutations) keyed per parameter binding.
         self._warm_cache: Dict[tuple, Any] = {}
+        #: Element factories, compiled once per expression and bound into
+        #: the per-binding artifacts above (a program shares one cache
+        #: across its plans, see :meth:`use_factories`).
+        self.factories = KernelFactories()
         #: Arrays pinned so the id()-based keys can never be recycled.
         self._warm_pins: List[Any] = []
 
@@ -196,10 +201,15 @@ class KernelPlan(abc.ABC):
         self._warm_cache[key] = artifact
         return artifact
 
+    def use_factories(self, factories: KernelFactories) -> None:
+        """Compile element functions through ``factories`` from now on."""
+        self.factories = factories
+
     def clear_warm_cache(self) -> None:
         """Drop every memoized artifact (cold-start this plan)."""
         self._warm_cache.clear()
         self._warm_pins.clear()
+        self.factories.clear()
 
     # -- warm-state persistence (artifact bundles) -------------------------
     def export_permutations(self):
@@ -268,6 +278,22 @@ class KernelPlan(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, {self.strategy})"
+
+
+def first_use(builder: Callable[[], Any]) -> Callable[[], Any]:
+    """A thunk that runs ``builder`` on its first call only.
+
+    Kernel bodies use it for artifacts only one execution path reads —
+    the REFERENCE oracle's scalar element functions — so the other paths
+    never bind (or compile) them.
+    """
+    box: List[Any] = []
+
+    def get():
+        if not box:
+            box.append(builder())
+        return box[0]
+    return get
 
 
 def alloc_output(device: Device, plan: KernelPlan,

@@ -113,6 +113,12 @@ class HostMapPlan(KernelPlan):
         if gather is not None and shape.pops_per_iter != 1:
             raise ValueError("gather maps require pops_per_iter == 1")
         self.optimizations = ["cpu_placement", "host_vectorization"]
+        #: Per-iteration instruction and aux-load counts (they depend
+        #: only on the expressions, so they are counted once).
+        self._ops = sum(expr_ops(o) for o in self.outputs) + 3
+        if gather is not None:
+            self._ops += expr_ops(gather)
+        self._aux_loads = sum(expr_aux_loads(o) for o in self.outputs)
 
     def launches(self, params) -> List[PlannedLaunch]:
         return []
@@ -121,13 +127,9 @@ class HostMapPlan(KernelPlan):
         iterations = self.shape.iterations(params)
         k = self.shape.pops_per_iter
         m = self.shape.pushes_per_iter
-        ops = sum(expr_ops(o) for o in self.outputs) + 3
-        aux = sum(expr_aux_loads(o) for o in self.outputs)
-        if self.gather is not None:
-            ops += expr_ops(self.gather)
-        traffic_bytes = (k + m + aux) * iterations * 8
+        traffic_bytes = (k + m + self._aux_loads) * iterations * 8
         return (HOST_VECTOR_DISPATCH_SECONDS
-                + ops * iterations / HOST_VECTOR_OPS_PER_SECOND
+                + self._ops * iterations / HOST_VECTOR_OPS_PER_SECOND
                 + traffic_bytes / (HOST_MEM_BANDWIDTH_GBPS * 1e9))
 
     def output_size(self, params) -> int:
@@ -139,12 +141,14 @@ class HostMapPlan(KernelPlan):
             k = self.shape.pops_per_iter
             arg_names = [f"_x{j}" for j in range(k)] + ["_i"]
             vfns = [compile_vector_fn(o, arg_names, params,
-                                      name=f"vout{idx}", arrays=arrays)
+                                      name=f"vout{idx}", arrays=arrays,
+                                      factories=self.factories)
                     for idx, o in enumerate(self.outputs)]
             vgather = None
             if self.gather is not None:
                 vgather = compile_vector_fn(self.gather, ["_i"], params,
-                                            name="vgather", arrays=arrays)
+                                            name="vgather", arrays=arrays,
+                                            factories=self.factories)
             return vfns, vgather
         return self.cached_artifact("host_map_fns", params, build)
 

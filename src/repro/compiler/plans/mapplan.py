@@ -29,7 +29,7 @@ from ...perfmodel import KernelWorkload
 from ..exprgen import (ChainStage, c_expr, compile_scalar_fn,
                        compile_vector_fn)
 from .base import (IN, LAYOUT_INTERLEAVED, LAYOUT_RESTRUCTURED, KernelPlan,
-                   PlannedLaunch, expr_aux_loads, expr_ops)
+                   PlannedLaunch, expr_aux_loads, expr_ops, first_use)
 
 
 class MapShape:
@@ -89,6 +89,10 @@ class MapPlan(KernelPlan):
             self.optimizations.append("vertical_integration")
         elif fused_actors > 1:
             self.optimizations.append("vertical_integration")
+        #: Per-iteration instruction and aux-load counts of the outputs
+        #: (they depend only on the expressions, so they are counted once).
+        self._ops = sum(expr_ops(o) for o in self.outputs) + 3
+        self._aux_loads = sum(expr_aux_loads(o) for o in self.outputs)
 
     # ------------------------------------------------------------------
     def _grid(self, params) -> int:
@@ -125,12 +129,10 @@ class MapPlan(KernelPlan):
             coal = float(self.items_per_thread)   # at least stores of m==1
             uncoal = float(requests - self.items_per_thread)
             degree = float(min(max(k, m), 32))
-        ops = sum(expr_ops(o) for o in self.outputs) + 3
-        aux = sum(expr_aux_loads(o) for o in self.outputs)
         workload = KernelWorkload(
             blocks=blocks, threads_per_block=self.threads,
-            comp_insts=ops * self.items_per_thread,
-            coal_mem_insts=coal + aux * self.items_per_thread,
+            comp_insts=self._ops * self.items_per_thread,
+            coal_mem_insts=coal + self._aux_loads * self.items_per_thread,
             uncoal_mem_insts=uncoal, uncoal_degree=degree,
             regs_per_thread=14 + 2 * k, shared_per_block=0)
         _ = iterations
@@ -156,32 +158,33 @@ class MapPlan(KernelPlan):
             arrays=self.arrays_fn(params))
 
     # ------------------------------------------------------------------
-    def _compiled_fns(self, params):
-        """Scalar + vector element functions, built once per binding."""
+    def _element_fns(self, kind: str, params):
+        """Output (and gather) functions of one emitter ``kind``, bound
+        once per binding."""
+        compile_fn, tag = ((compile_scalar_fn, "")
+                           if kind == "scalar" else (compile_vector_fn, "v"))
+
         def build():
             arrays = self.arrays_fn(params)
             k = self.shape.pops_per_iter
             arg_names = [f"_x{j}" for j in range(k)] + ["_i"]
-            fns = [compile_scalar_fn(o, arg_names, params, name=f"out{idx}",
-                                     arrays=arrays)
+            fns = [compile_fn(o, arg_names, params, name=f"{tag}out{idx}",
+                              arrays=arrays, factories=self.factories)
                    for idx, o in enumerate(self.outputs)]
-            vfns = [compile_vector_fn(o, arg_names, params,
-                                      name=f"vout{idx}", arrays=arrays)
-                    for idx, o in enumerate(self.outputs)]
-            gather_fn = vgather = None
+            gather = None
             if self.gather is not None:
-                gather_fn = compile_scalar_fn(self.gather, ["_i"], params,
-                                              name="gather", arrays=arrays)
-                vgather = compile_vector_fn(self.gather, ["_i"], params,
-                                            name="vgather", arrays=arrays)
-            return fns, vfns, gather_fn, vgather
-        return self.cached_artifact("map_fns", params, build)
+                gather = compile_fn(self.gather, ["_i"], params,
+                                    name=f"{tag}gather", arrays=arrays,
+                                    factories=self.factories)
+            return fns, gather
+        return self.cached_artifact(f"map_fns_{kind}", params, build)
 
     def execute(self, device: Device, buffers, params) -> DeviceArray:
         iterations = self.shape.iterations(params)
         k = self.shape.pops_per_iter
         m = self.shape.pushes_per_iter
-        fns, vfns, gather_fn, vgather = self._compiled_fns(params)
+        scalar_fns = first_use(lambda: self._element_fns("scalar", params))
+        vfns, vgather = self._element_fns("vector", params)
         out = device.alloc(self.output_size(params), dtype=np.float64,
                            name=f"{self.name}.out")
         inbuf = buffers[IN]
@@ -190,6 +193,7 @@ class MapPlan(KernelPlan):
         restructured = self.layout == LAYOUT_RESTRUCTURED
 
         def body(ctx):
+            fns, gather_fn = scalar_fns()
             i = ctx.global_tid
             while i < iterations:
                 if gather_fn is not None:

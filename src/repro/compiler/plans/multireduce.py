@@ -39,6 +39,7 @@ class HorizontalReducePlan(KernelPlan):
             raise ValueError("threads per block must be a power of two")
         self.shape = shape
         self.reducer_fns = list(reducer_fns)
+        self.costs = [fn(None).costs() for fn in self.reducer_fns]
         self.threads = threads
         self.two_kernel = two_kernel
         self.layout = layout
@@ -49,16 +50,15 @@ class HorizontalReducePlan(KernelPlan):
 
     # ------------------------------------------------------------------
     def _reducers(self, params) -> List[Reducer]:
-        # One warm-cache entry holds the whole reducer bank: every factory
-        # may compile several element/epilogue functions, so a warm run
-        # must reuse all of them at once.
+        # One warm-cache entry holds the whole reducer bank, bound through
+        # this plan's factory cache, so a warm run reuses all of them.
         return self.cached_artifact(
             "reducers", params,
-            lambda: [fn(params) for fn in self.reducer_fns])
+            lambda: [fn(params).bind(self.factories)
+                     for fn in self.reducer_fns])
 
     def output_size(self, params) -> int:
-        reducers = self._reducers(params)
-        per_array = sum(r.outputs_per_array for r in reducers)
+        per_array = sum(c.outputs_per_array for c in self.costs)
         return self.shape.narrays(params) * per_array
 
     def initial_blocks(self, params) -> int:
@@ -75,12 +75,12 @@ class HorizontalReducePlan(KernelPlan):
         narrays = self.shape.narrays(params)
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
-        reducers = self._reducers(params)
-        width = sum(r.state_width for r in reducers)
-        elem_ops = sum(r.element_ops() + r.combine_ops() for r in reducers)
-        aux = sum(r.element_aux_loads() for r in reducers)
+        costs = self.costs
+        width = sum(c.state_width for c in costs)
+        elem_ops = sum(c.element_ops + c.combine_ops for c in costs)
+        aux = sum(c.element_aux_loads for c in costs)
         tree_steps = int(math.log2(self.threads))
-        tree_ops = sum(r.combine_ops() + 2 for r in reducers)
+        tree_ops = sum(c.combine_ops + 2 for c in costs)
 
         if not self.two_kernel:
             iters = math.ceil(length / self.threads)
@@ -438,6 +438,11 @@ class SeparateReducePlan(KernelPlan):
         self._narrays = narrays
         self.strategy = "hreduce.separate_kernels"
         self.optimizations = ["actor_segmentation"]
+
+    def use_factories(self, factories) -> None:
+        super().use_factories(factories)
+        for plan in self.branch_plans:
+            plan.use_factories(factories)
 
     def clear_warm_cache(self) -> None:
         super().clear_warm_cache()

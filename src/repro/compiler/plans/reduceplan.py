@@ -224,22 +224,24 @@ class _ReducePlanBase(KernelPlan):
         self.layout = layout
         self.threads = threads
         self.input_layout = layout
+        #: Cost metadata, read once from a symbolic reducer.
+        self.costs = reducer_fn(None).costs()
 
     def _reducer(self, params):
-        """Reducer for this binding, compiled once and reused warm.
+        """Reducer for this binding, bound once and reused warm.
 
-        ``reducer_fn`` may compile several element/epilogue functions per
-        call (e.g. :class:`~repro.compiler.reducers.ScalarReducer`); the
-        per-plan artifact cache keys on scalars *and* auxiliary-array
-        identity, so bindings that carry different const arrays never share
-        a reducer.
+        Its element/epilogue functions bind through this plan's factory
+        cache (shared by its program), so each expression compiles once
+        and a new binding only binds.  The per-plan artifact cache keys
+        on scalars *and* auxiliary-array identity, so bindings that carry
+        different const arrays never share a reducer.
         """
-        return self.cached_artifact("reducer", params,
-                                    lambda: self.reducer_fn(params))
+        return self.cached_artifact(
+            "reducer", params,
+            lambda: self.reducer_fn(params).bind(self.factories))
 
     def output_size(self, params) -> int:
-        reducer = self._reducer(params)
-        return self.shape.narrays(params) * reducer.outputs_per_array
+        return self.shape.narrays(params) * self.costs.outputs_per_array
 
     def restructure_permutation(self, size, params):
         if self.layout == LAYOUT_ROWS:
@@ -283,18 +285,18 @@ class ReduceSingleKernelPlan(_ReducePlanBase):
         narrays = self.shape.narrays(params)
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
-        reducer = self._reducer(params)
+        costs = self.costs
         blocks = max(1, math.ceil(narrays / self.rows_per_block))
         iters_per_thread = math.ceil(length / self.threads)
         requests = iters_per_thread * k * self.rows_per_block
         coal, uncoal, degree = self._mem_split(requests)
         tree_steps = int(math.log2(self.threads))
-        comp = (iters_per_thread * (reducer.element_ops() + 2)
-                + tree_steps * (reducer.combine_ops() + 2)
+        comp = (iters_per_thread * (costs.element_ops + 2)
+                + tree_steps * (costs.combine_ops + 2)
                 ) * self.rows_per_block
-        aux = (iters_per_thread * reducer.element_aux_loads()
+        aux = (iters_per_thread * costs.element_aux_loads
                * self.rows_per_block)
-        shared = self.threads * reducer.state_width * 4
+        shared = self.threads * costs.state_width * 4
         workload = KernelWorkload(
             blocks=blocks, threads_per_block=self.threads,
             comp_insts=comp, coal_mem_insts=coal + aux,
@@ -458,17 +460,17 @@ class ReduceTwoKernelPlan(_ReducePlanBase):
         narrays = self.shape.narrays(params)
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
-        reducer = self._reducer(params)
+        costs = self.costs
         nblocks = self.initial_blocks(params)
         chunk = math.ceil(length / nblocks)
         iters_per_thread = math.ceil(chunk / self.threads)
         requests = iters_per_thread * k
         coal, uncoal, degree = self._mem_split(requests)
         tree_steps = int(math.log2(self.threads))
-        comp = (iters_per_thread * (reducer.element_ops() + 2)
-                + tree_steps * (reducer.combine_ops() + 2))
-        aux = iters_per_thread * reducer.element_aux_loads()
-        shared = self.threads * reducer.state_width * 4
+        comp = (iters_per_thread * (costs.element_ops + 2)
+                + tree_steps * (costs.combine_ops + 2))
+        aux = iters_per_thread * costs.element_aux_loads
+        shared = self.threads * costs.state_width * 4
         initial = KernelWorkload(
             blocks=narrays * nblocks, threads_per_block=self.threads,
             comp_insts=comp, coal_mem_insts=coal + aux,
@@ -480,8 +482,8 @@ class ReduceTwoKernelPlan(_ReducePlanBase):
         merge = KernelWorkload(
             blocks=narrays, threads_per_block=self.threads,
             comp_insts=(merge_iters + tree_steps)
-            * (reducer.combine_ops() + 2),
-            coal_mem_insts=merge_iters * reducer.state_width,
+            * (costs.combine_ops + 2),
+            coal_mem_insts=merge_iters * costs.state_width,
             synch_insts=tree_steps + 1, regs_per_thread=16,
             shared_per_block=shared)
         return [
@@ -690,15 +692,15 @@ class ReduceThreadPerArrayPlan(_ReducePlanBase):
         narrays = self.shape.narrays(params)
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
-        reducer = self._reducer(params)
+        costs = self.costs
         blocks = max(1, math.ceil(narrays / self.threads))
         requests = length * k
         if self.layout == LAYOUT_TRANSPOSED:
             coal, uncoal, degree = requests, 0.0, 32.0
         else:
             coal, uncoal, degree = 0.0, requests, 32.0
-        comp = length * (reducer.element_ops() + 2) + reducer.combine_ops()
-        aux = length * reducer.element_aux_loads()
+        comp = length * (costs.element_ops + 2) + costs.combine_ops
+        aux = length * costs.element_aux_loads
         workload = KernelWorkload(
             blocks=blocks, threads_per_block=self.threads,
             comp_insts=comp, coal_mem_insts=coal + aux,

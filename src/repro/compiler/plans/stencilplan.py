@@ -17,15 +17,15 @@ offsets of the corresponding input cell on a ``height × width`` grid.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ...gpu import SYNC, Device, DeviceArray, GPUSpec, Kernel
 from ...ir.patterns import StencilPattern
 from ...perfmodel import KernelWorkload
-from ..exprgen import compile_scalar_fn, compile_vector_fn
-from .base import IN, KernelPlan, PlannedLaunch, expr_ops
+from ..exprgen import KernelFactories, compile_scalar_fn, compile_vector_fn
+from .base import IN, KernelPlan, PlannedLaunch, expr_ops, first_use
 
 
 class StencilShape:
@@ -46,14 +46,18 @@ class StencilShape:
         return self.width(params) * self.height(params)
 
 
-def linear_offsets(pattern: StencilPattern,
-                   params: Dict[str, float]) -> List[int]:
-    """Evaluate the pattern's displacement expressions to integers."""
-    disps = []
-    for disp in pattern.offsets:
-        fn = compile_scalar_fn(disp, [], params, name="disp")
-        disps.append(int(fn()))
-    return disps
+def linear_offsets(pattern: StencilPattern, params: Dict[str, float],
+                   factories: Optional[KernelFactories] = None
+                   ) -> List[int]:
+    """Evaluate the pattern's displacement expressions to integers.
+
+    Each displacement compiles once per ``factories`` cache (a fresh one
+    when omitted) and is only bound to ``params``.
+    """
+    factories = KernelFactories() if factories is None else factories
+    return [int(compile_scalar_fn(disp, [], params, name="disp",
+                                  factories=factories)())
+            for disp in pattern.offsets]
 
 
 def _decompose(disps: List[int], width: int) -> List[Tuple[int, int]]:
@@ -71,14 +75,16 @@ def _decompose(disps: List[int], width: int) -> List[Tuple[int, int]]:
 
 def decompose_offsets(pattern: StencilPattern,
                       params: Dict[str, float],
-                      width: int) -> List[Tuple[int, int]]:
+                      width: int,
+                      factories: Optional[KernelFactories] = None
+                      ) -> List[Tuple[int, int]]:
     """Evaluate the pattern's linear displacements into (dy, dx) pairs.
 
     Valid under the actor's edge guard, which must exclude cells whose
     neighbors would wrap across row boundaries (linear offset semantics
     agree with 2-D semantics exactly on guarded-interior cells).
     """
-    return _decompose(linear_offsets(pattern, params), width)
+    return _decompose(linear_offsets(pattern, params, factories), width)
 
 
 def reuse_metric(tile_w: int, tile_h: int, halo_x: int, halo_y: int,
@@ -98,58 +104,43 @@ class _StencilPlanBase(KernelPlan):
         self.shape = shape
         self.pattern = pattern
         self.threads = threads
+        #: Per-cell instructions; depends only on the compute expression.
+        self._cell_ops = expr_ops(pattern.compute) + 4
 
     def output_size(self, params) -> int:
         return self.shape.size(params)
 
-    def _fns(self, params):
-        def build():
-            noff = len(self.pattern.offsets)
-            args = [f"_p{k}" for k in range(noff)] + ["_i"]
-            compute = compile_scalar_fn(self.pattern.compute, args, params,
-                                        name="compute")
-            guard = None
-            if self.pattern.guard is not None:
-                guard = compile_scalar_fn(self.pattern.guard, ["_i"], params,
-                                          name="guard")
-            fallback = None
-            if self.pattern.guard_else is not None:
-                fallback = compile_scalar_fn(self.pattern.guard_else, args,
-                                             params, name="fallback")
-            return compute, guard, fallback
-        return self.cached_artifact("stencil_fns", params, build)
+    def _element_fns(self, kind: str, params):
+        """``(compute, guard, fallback)`` of one emitter ``kind``, bound
+        once per binding (``None`` where the pattern has no such part)."""
+        compile_fn, tag = ((compile_scalar_fn, "")
+                           if kind == "scalar" else (compile_vector_fn, "v"))
 
-    def _vfns(self, params):
         def build():
             noff = len(self.pattern.offsets)
             args = [f"_p{k}" for k in range(noff)] + ["_i"]
-            vcompute = compile_vector_fn(self.pattern.compute, args, params,
-                                         name="vcompute")
-            vguard = None
-            if self.pattern.guard is not None:
-                vguard = compile_vector_fn(self.pattern.guard, ["_i"],
-                                           params, name="vguard")
-            vfallback = None
-            if self.pattern.guard_else is not None:
-                vfallback = compile_vector_fn(self.pattern.guard_else, args,
-                                              params, name="vfallback")
-            return vcompute, vguard, vfallback
-        return self.cached_artifact("stencil_vfns", params, build)
+            parts = ((self.pattern.compute, args, "compute"),
+                     (self.pattern.guard, ["_i"], "guard"),
+                     (self.pattern.guard_else, args, "fallback"))
+            return tuple(
+                None if expr is None else
+                compile_fn(expr, part_args, params, name=tag + name,
+                           factories=self.factories)
+                for expr, part_args, name in parts)
+        return self.cached_artifact(f"stencil_fns_{kind}", params, build)
 
     def _linear_offsets(self, params) -> List[int]:
-        """Displacements for this binding; the per-offset compiled
-        evaluator functions are built once and reused warm."""
+        """Displacements for this binding, from evaluators this plan
+        compiles once per displacement."""
         return self.cached_artifact(
-            "offsets", params, lambda: linear_offsets(self.pattern, params))
+            "offsets", params,
+            lambda: linear_offsets(self.pattern, params, self.factories))
 
     def _decomposed_offsets(self, params) -> List[Tuple[int, int]]:
         def build():
             width = max(1, self.shape.width(params))
             return _decompose(self._linear_offsets(params), width)
         return self.cached_artifact("pairs", params, build)
-
-    def _compute_ops(self) -> int:
-        return expr_ops(self.pattern.compute) + 4
 
 
 class NaiveStencilPlan(_StencilPlanBase):
@@ -167,7 +158,7 @@ class NaiveStencilPlan(_StencilPlanBase):
         blocks = max(1, math.ceil(size / self.threads))
         workload = KernelWorkload(
             blocks=blocks, threads_per_block=self.threads,
-            comp_insts=self._compute_ops(),
+            comp_insts=self._cell_ops,
             coal_mem_insts=float(noff + 1),   # neighbor loads + store
             regs_per_thread=18, shared_per_block=0)
         return [PlannedLaunch(self.name, blocks, self.threads, workload)]
@@ -177,7 +168,7 @@ class NaiveStencilPlan(_StencilPlanBase):
         height = self.shape.height(params)
         size = width * height
         disps = self._linear_offsets(params)
-        compute, guard, fallback = self._fns(params)
+        scalar_fns = first_use(lambda: self._element_fns("scalar", params))
         out = device.alloc(size, dtype=np.float64, name=f"{self.name}.out")
         inbuf = buffers[IN]
         threads = self.threads
@@ -186,6 +177,7 @@ class NaiveStencilPlan(_StencilPlanBase):
             i = ctx.global_tid
             if i >= size:
                 return
+            compute, guard, fallback = scalar_fns()
             in_bounds = all(0 <= i + d < size for d in disps)
             ok = in_bounds if guard is None else guard(i)
             if ok:
@@ -199,7 +191,7 @@ class NaiveStencilPlan(_StencilPlanBase):
                 else:
                     ctx.gstore(out, i, center)
 
-        vcompute, vguard, vfallback = self._vfns(params)
+        vcompute, vguard, vfallback = self._element_fns("vector", params)
 
         def vector_body(ctx):
             # Mirrors the scalar per-lane access sequences: ok lanes load
@@ -356,7 +348,7 @@ class TiledStencilPlan(_StencilPlanBase):
         loads = staged / (self.spec.warp_size * warps)
         stores = cells / (self.spec.warp_size * warps)
         cells_per_thread = max(1, cells // self.threads)
-        comp = cells_per_thread * (self._compute_ops()
+        comp = cells_per_thread * (self._cell_ops
                                    + len(self.pattern.offsets))
         workload = KernelWorkload(
             blocks=blocks, threads_per_block=self.threads,
@@ -371,7 +363,7 @@ class TiledStencilPlan(_StencilPlanBase):
         height = self.shape.height(params)
         size = width * height
         pairs = self._decomposed_offsets(params)
-        compute, guard, fallback = self._fns(params)
+        scalar_fns = first_use(lambda: self._element_fns("scalar", params))
         tw, th = self.choose_tile(params)
         hx, hy = self.halo(params)
         sw, sh = tw + 2 * hx, th + 2 * hy
@@ -383,6 +375,7 @@ class TiledStencilPlan(_StencilPlanBase):
         staged = sw * sh
 
         def body(ctx):
+            compute, guard, fallback = scalar_fns()
             ty, tx = divmod(ctx.bx, tiles_x)
             x0 = tx * tw - hx
             y0 = ty * th - hy
@@ -426,7 +419,7 @@ class TiledStencilPlan(_StencilPlanBase):
                             ctx.gstore(out, i, center)
                 c += threads
 
-        vcompute, vguard, vfallback = self._vfns(params)
+        vcompute, vguard, vfallback = self._element_fns("vector", params)
         stage_steps = math.ceil(staged / threads)
         comp_steps = math.ceil(tw * th / threads)
 

@@ -15,13 +15,13 @@ Adaptic detects.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from ..ir import nodes as N
 from ..ir.patterns import ArgReducePattern, ReductionPattern
-from .exprgen import (c_combine, c_expr, combine_identity,
+from .exprgen import (KernelFactories, c_combine, c_expr, combine_identity,
                       compile_scalar_fn, compile_vector_combine_fn,
                       compile_vector_fn)
 
@@ -37,12 +37,44 @@ def _expr_aux_loads(expr: N.Expr) -> int:
     return sum(1 for n in expr.walk() if isinstance(n, N.Index))
 
 
+class ReducerCosts(NamedTuple):
+    """A reducer's cost metadata.  It depends only on the pattern, so a
+    plan reads it once, from a symbolic reducer."""
+
+    element_ops: int
+    element_aux_loads: int
+    combine_ops: int
+    state_width: int
+    outputs_per_array: int
+
+
 class Reducer:
-    """Abstract reduction semantics used by the reduction kernel plans."""
+    """Abstract reduction semantics used by the reduction kernel plans.
+
+    A reducer built for a concrete binding holds its element functions
+    unbound until :meth:`bind` binds them through a factory cache; a
+    kernel plan passes its program's cache, so each expression compiles
+    once per program.  A reducer used before any :meth:`bind` binds
+    itself on first use, through a cache of its own.
+    """
 
     state_width: int          # number of scalar slots per partial result
     pops_per_iter: int
     outputs_per_array: int
+
+    #: Attributes :meth:`bind` sets.
+    _BOUND: Tuple[str, ...] = ()
+
+    def bind(self, factories: KernelFactories) -> "Reducer":
+        """Bind the element functions through ``factories``; returns self."""
+        raise NotImplementedError
+
+    def __getattr__(self, name):
+        # Only reached while a bound attribute is still missing.
+        if name in type(self)._BOUND and "params" in self.__dict__:
+            self.bind(KernelFactories())
+            return self.__dict__[name]
+        raise AttributeError(name)
 
     def identity(self) -> Tuple[float, ...]:
         raise NotImplementedError
@@ -83,6 +115,11 @@ class Reducer:
     def combine_ops(self) -> int:
         return 1
 
+    def costs(self) -> ReducerCosts:
+        return ReducerCosts(self.element_ops(), self.element_aux_loads(),
+                            self.combine_ops(), self.state_width,
+                            self.outputs_per_array)
+
     # -- CUDA emission ----------------------------------------------------
     def c_state_decl(self, name: str) -> str:
         raise NotImplementedError
@@ -119,21 +156,32 @@ class ScalarReducer(Reducer):
             self._elem = self._epi = None
             self._velem = self._vepi = None
             self.init_value = None
-            return
+
+    _BOUND = ("_elem", "_epi", "_velem", "_vepi", "init_value")
+
+    def bind(self, factories: KernelFactories) -> "ScalarReducer":
+        if self.params is None:
+            return self
+        pattern, params, arrays = self.pattern, self.params, self.arrays
         arg_names = [f"_x{k}" for k in range(self.pops_per_iter)] + ["_i"]
         self._elem = compile_scalar_fn(pattern.element, arg_names, params,
-                                       name="elem", arrays=self.arrays)
+                                       name="elem", arrays=arrays,
+                                       factories=factories)
         self._epi = compile_scalar_fn(pattern.epilogue, ["_acc"], params,
-                                      name="epi", arrays=self.arrays)
+                                      name="epi", arrays=arrays,
+                                      factories=factories)
         self._velem = compile_vector_fn(pattern.element, arg_names, params,
-                                        name="velem", arrays=self.arrays)
+                                        name="velem", arrays=arrays,
+                                        factories=factories)
         self._vepi = compile_vector_fn(pattern.epilogue, ["_acc"], params,
-                                       name="vepi", arrays=self.arrays)
+                                       name="vepi", arrays=arrays,
+                                       factories=factories)
         # The sequential semantics start from the actor's declared init
         # value (e.g. acc = 0.0), folded in by the merge epilogue.
         init = compile_scalar_fn(pattern.init, [], params, name="init",
-                                 arrays=self.arrays)
+                                 arrays=arrays, factories=factories)
         self.init_value = init()
+        return self
 
     def identity(self) -> Tuple[float, ...]:
         return (combine_identity(self.kind),)
@@ -207,12 +255,21 @@ class ArgReducer(Reducer):
             (lambda a, b: a > b) if self.cmp == ">" else (lambda a, b: a < b))
         if params is None:
             self._elem = self._velem = None
-            return
-        self._elem = compile_scalar_fn(pattern.element, ["_x0", "_i"], params,
-                                       name="elem", arrays=self.arrays)
-        self._velem = compile_vector_fn(pattern.element, ["_x0", "_i"],
-                                        params, name="velem",
-                                        arrays=self.arrays)
+
+    _BOUND = ("_elem", "_velem")
+
+    def bind(self, factories: KernelFactories) -> "ArgReducer":
+        if self.params is None:
+            return self
+        self._elem = compile_scalar_fn(self.pattern.element, ["_x0", "_i"],
+                                       self.params, name="elem",
+                                       arrays=self.arrays,
+                                       factories=factories)
+        self._velem = compile_vector_fn(self.pattern.element, ["_x0", "_i"],
+                                        self.params, name="velem",
+                                        arrays=self.arrays,
+                                        factories=factories)
+        return self
 
     def identity(self) -> Tuple[float, ...]:
         worst = -math.inf if self.cmp == ">" else math.inf

@@ -48,7 +48,8 @@ from ..perfmodel import AxisSpec, CalibrationStore, DecisionTable, \
     hop_seconds, layout_transform_seconds, size_bucket, sweep_axis, \
     sweep_region
 from .costing import predicted_chain_fuse_gain
-from .exprgen import COMPILE_COUNTER, SOURCE_REGISTRY, compile_chain_fn
+from .exprgen import (COMPILE_COUNTER, SOURCE_REGISTRY, KernelFactories,
+                      compile_chain_fn)
 from .plans.base import IN, KernelPlan, RESTRUCTURE_COUNTER, freeze_arrays, \
     freeze_scalars
 from .segments import RegionDispatch, Segment, SegmentDispatch, chain_spans
@@ -285,6 +286,13 @@ class CompiledProgram:
         self.model = model
         self.segments = segments
         self.options = options
+        #: Element factories shared by every plan: the variants of a
+        #: segment read the same expressions, so each compiles once per
+        #: program and serves every variant at every input shape.
+        self.factories = KernelFactories()
+        for segment in segments:
+            for plan in segment.plans:
+                plan.use_factories(self.factories)
         #: Memoized cost layer + observability counters (repro.compiler.stats).
         self.cost = CostCache(model)
         #: Element type used on the PCIe wire for program inputs/outputs.

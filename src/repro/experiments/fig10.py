@@ -176,8 +176,13 @@ def bundle_verify(path: str, total_elements: int = 1 << 10,
 
     Meant to run in a *fresh* process: a healthy bundle serves every
     sweep shape with ``model_evals == 0``, ``expr_compiles == 0`` and
-    ``perm_builds == 0``.  Returns the counter dict; the CLI exits
-    non-zero when any of the three is nonzero.
+    ``perm_builds == 0``.  It then serves a second sweep at four times
+    ``total_elements`` — shapes the bundle never saw — where a bundle
+    carrying one source per expression still compiles nothing
+    (``unseen_expr_compiles == 0``); that sweep's model evaluations and
+    permutation builds are reported, not required to be zero.  Returns
+    the counter dict; the CLI exits non-zero when any of the four
+    gated counters is nonzero.
     """
     from ..compiler.exprgen import COMPILE_COUNTER
 
@@ -191,6 +196,20 @@ def bundle_verify(path: str, total_elements: int = 1 << 10,
         outputs.append(np.asarray(compiled.run(matrix, params).output))
     compile_delta = COMPILE_COUNTER.since(before)
     stats = compiled.stats.since(stats_before)
+
+    unseen_before = COMPILE_COUNTER.snapshot()
+    unseen_stats_before = compiled.stats.snapshot()
+    unseen = tmv.shape_sweep(4 * total_elements)
+    for rows, cols in unseen:
+        matrix, vec, params = tmv.make_input(rows, cols, rng)
+        out = np.asarray(compiled.run(matrix, params).output)
+        if not np.allclose(out, tmv.reference(matrix, vec, rows, cols),
+                           rtol=1e-9, atol=1e-9):
+            raise AssertionError(
+                f"bundle-loaded run at unseen shape {rows}x{cols} "
+                f"diverged from the numpy reference")
+    unseen_compiles = COMPILE_COUNTER.since(unseen_before)
+    unseen_stats = compiled.stats.since(unseen_stats_before)
     return {
         "shapes": len(outputs),
         "model_evals": stats.model_evals,
@@ -200,6 +219,11 @@ def bundle_verify(path: str, total_elements: int = 1 << 10,
         "cache_hits": stats.cache_hits,
         "table_hits": stats.table_hits,
         "checksum": float(sum(float(np.sum(out)) for out in outputs)),
+        "unseen_shapes": len(unseen),
+        "unseen_expr_compiles": unseen_compiles.total,
+        "unseen_expr_hydrations": unseen_compiles.hydrated,
+        "unseen_model_evals": unseen_stats.model_evals,
+        "unseen_perm_builds": unseen_stats.restructure_builds,
     }
 
 

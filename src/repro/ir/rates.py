@@ -19,6 +19,11 @@ from .frontend import FrontendError, _lift_expr
 from .interp import WorkInterpreter
 
 
+#: Evaluates rate expressions.  Rates are pure (no pops, peeks or
+#: assignments), so one shared interpreter serves every call.
+_RATE_INTERPRETER = WorkInterpreter(N.WorkFunction("<rate>", (), []), {})
+
+
 class RateExpr:
     """An integer-valued expression over program parameters."""
 
@@ -36,7 +41,7 @@ class RateExpr:
 
     # ------------------------------------------------------------------
     def evaluate(self, params: Dict[str, Any]) -> int:
-        value = _eval_expr(self.expr, params)
+        value = _RATE_INTERPRETER._eval(self.expr, params)
         result = int(round(value))
         if result < 0:
             raise ValueError(f"rate {self} evaluated to {result} < 0")
@@ -76,11 +81,3 @@ def parse_expr(source: str) -> N.Expr:
     except SyntaxError as exc:
         raise FrontendError(f"bad rate expression {source!r}: {exc}") from exc
     return _lift_expr(tree.body, f"<rate {source!r}>")
-
-
-def _eval_expr(expr: N.Expr, params: Dict[str, Any]):
-    """Evaluate a parameter expression using the interpreter machinery."""
-    work = N.WorkFunction("<rate>", tuple(params), [N.Assign("__r", expr)])
-    interp = WorkInterpreter(work, params, state={"__r": None})
-    interp.run([])
-    return interp.state["__r"]

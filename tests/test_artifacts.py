@@ -21,9 +21,10 @@ import pytest
 
 from repro import api
 from repro.apps import tmv
-from repro.artifacts import (ArtifactBundle, atomic_write_json,
-                             decode_ndarray, decode_scalars, encode_ndarray,
-                             encode_scalars, program_fingerprint)
+from repro.artifacts import (BUNDLE_SCHEMA_VERSION, ArtifactBundle,
+                             atomic_write_json, decode_ndarray,
+                             decode_scalars, encode_ndarray, encode_scalars,
+                             program_fingerprint)
 from repro.compiler.exprgen import COMPILE_COUNTER, SOURCE_REGISTRY
 from repro.errors import (BundleArchError, BundleError, BundleFormatError,
                           BundleProgramError, BundleVersionError,
@@ -242,7 +243,8 @@ class TestBundleRoundTrip:
         path, _matrix, _params, _out = saved_bundle
         text = ArtifactBundle.load(path).inspect()
         assert "tmv" in text and "tesla-c2050" in text
-        assert "schema=1" in text and "segment" in text
+        assert f"schema={BUNDLE_SCHEMA_VERSION}" in text
+        assert "segment" in text
 
 
 class TestBundleRejection:
@@ -283,6 +285,14 @@ class TestBundleRejection:
         with pytest.raises(BundleVersionError) as err:
             ArtifactBundle.load(bad)
         assert "99" in str(err.value)
+
+    def test_version_one_bundle_is_rejected(self, saved_bundle, tmp_path):
+        # Version-1 source keys carry folded scalars; loading one would
+        # silently compile cold, so it is refused outright.
+        path, _matrix, _params, _out = saved_bundle
+        bad = self._rewrite(path, tmp_path, schema_version=1)
+        with pytest.raises(BundleVersionError):
+            ArtifactBundle.load(bad)
 
     def test_repro_version_mismatch_and_force(self, saved_bundle,
                                               tmp_path):
@@ -399,6 +409,24 @@ print(json.dumps({{"out": out.tolist(),
         assert report["perm_builds"] == 0
         assert report["hydrated"] > 0
         assert np.asarray(report["out"]).tobytes() == cold_out.tobytes()
+
+    def test_bundle_hydrates_an_unseen_shape(self, saved_bundle):
+        # One source per expression: a bundle saved after warming 8x64
+        # serves 32x16 in a fresh registry without compiling anything.
+        path, _matrix, _params, _out = saved_bundle
+        rng = np.random.default_rng(5)
+        matrix, vec, params = tmv.make_input(32, 16, rng)
+        cold = api.compile(tmv.build()).run(matrix, dict(params))
+        SOURCE_REGISTRY.clear()
+        warm = api.load_bundle(path)
+        before = COMPILE_COUNTER.snapshot()
+        out = np.asarray(warm.run(matrix, dict(params)).output)
+        delta = COMPILE_COUNTER.since(before)
+        assert delta.total == 0
+        assert delta.hydrated > 0
+        assert out.tobytes() == np.asarray(cold.output).tobytes()
+        np.testing.assert_allclose(out, tmv.reference(matrix, vec, 32, 16),
+                                   rtol=1e-9, atol=1e-9)
 
     def test_cold_rerun_after_clear_still_counts_compiles(self):
         # The registry must never let self-recorded sources masquerade

@@ -57,3 +57,23 @@ class TestReportCommand:
                         "sec53", "code_size", "model validation"):
             assert f"## {section}" in out
         assert out.count("```") >= 16
+
+
+@pytest.mark.artifacts
+class TestBundleCli:
+    def test_bundle_load_serves_unseen_shapes_without_compiling(
+            self, capsys, tmp_path):
+        from repro.compiler.exprgen import SOURCE_REGISTRY
+        path = str(tmp_path / "tmv.bundle.json")
+        try:
+            assert main(["bundle", "save", "tmv", "--out", path]) == 0
+            SOURCE_REGISTRY.clear()   # serve from the bundle alone
+            capsys.readouterr()
+            assert main(["bundle", "load", path]) == 0
+        finally:
+            SOURCE_REGISTRY.clear_loaded()
+        out = capsys.readouterr().out
+        report = dict(line.split(None, 1) for line in out.splitlines()[1:])
+        assert report["unseen_expr_compiles"] == "0"
+        assert int(report["unseen_shapes"]) > 0
+        assert report["verdict"] == "OK"

@@ -19,10 +19,13 @@ class TestPythonEmission:
         fn = compile_scalar_fn(expr, ["x"], {"a": 2.0, "b": 1.0})
         assert fn(3.0) == 7.0
 
-    def test_param_folding_in_source(self):
+    def test_params_bound_not_folded(self):
         expr = parse_expr("a * x")
-        text = python_expr(expr, ["x"], {"a": 2.5})
-        assert "2.5" in text and "a" not in text.replace("a *", "")
+        text = python_expr(expr, ["x"])
+        assert text == "(_s_a * x)"
+        fn = compile_scalar_fn(expr, ["x"], {"a": 2.5})
+        assert "2.5" not in fn.__source__
+        assert fn(2.0) == 5.0
 
     def test_numpy_scalar_params_normalized(self):
         expr = parse_expr("a + x")
@@ -49,7 +52,7 @@ class TestPythonEmission:
 
     def test_unbound_variable_raises(self):
         with pytest.raises(ExprGenError) as exc:
-            python_expr(parse_expr("mystery"), [], {})
+            compile_scalar_fn(parse_expr("mystery"), [], {})
         assert "mystery" in str(exc.value)
 
 

@@ -16,6 +16,7 @@ never had one.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -508,3 +509,40 @@ class TestSweepFailureAccounting:
         with pytest.raises(AttributeError, match="typo"):
             compiled.bake_decision_tables(extra_params={"cols": 64})
         assert compiled.stats.sweep_failures == 0
+
+
+@pytest.mark.faults
+class TestNonFiniteParameters:
+    """A non-finite float parameter binds as a value.  Folded into source,
+    ``inf`` rendered as the bare name ``inf`` and every kernel failed."""
+
+    @pytest.mark.parametrize("mode", [MODE_REFERENCE, MODE_VECTORIZED])
+    def test_sscal_with_infinite_alpha(self, rng, mode):
+        from repro.apps import blas1
+        x = rng.standard_normal(256)
+        params = {"n": 256, "r": 1, "alpha": math.inf}
+        result = api.compile(blas1.build("sscal")).run(
+            x, params, options=RunOptions(exec_mode=mode))
+        np.testing.assert_array_equal(
+            result.output, blas1.reference("sscal", x, params))
+
+    def test_fused_map_chain_with_infinite_scale(self):
+        from repro import Filter, Pipeline, StreamProgram
+        from workloads import SCALE_SRC
+        keep = ("def keep(n):\n    for i in range(n):\n"
+                "        push(pop() + 0.0)\n")
+        program = StreamProgram(
+            Pipeline(Filter(SCALE_SRC, pop="n", push="n"),
+                     Filter(keep, pop="n", push="n")),
+            params=["n", "a"], input_size="n")
+        compiled = api.compile(program, options=AdapticOptions(
+            integration=False, fuse_chains=True, fuse_min_gain=0.0))
+        x = np.array([1.0, -2.0, 0.0, 3.0])
+        result = compiled.run(x, {"n": 4, "a": math.inf},
+                              options=RunOptions(exec_mode=MODE_VECTORIZED))
+        assert compiled.stats.fused_chain_runs == 1
+        with np.errstate(invalid="ignore"):
+            expected = math.inf * x
+        np.testing.assert_array_equal(expected, [math.inf, -math.inf,
+                                                 math.nan, math.inf])
+        np.testing.assert_array_equal(result.output, expected)

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from repro.gpu import Device, TESLA_C2050
 from repro.gpu.memory import bank_conflict_degree, coalesce_transactions
 from repro.ir import classify, lift_code, run_work
+from repro.ir import nodes as N
 from repro.ir.rates import RateExpr
-from repro.compiler.exprgen import compile_scalar_fn
+from repro.compiler.exprgen import compile_scalar_fn, compile_vector_fn
 from repro.compiler.fusion import compose_maps, fuse_map_into_reduction
 from repro.compiler.plans import (NaiveStencilPlan, ReduceShape,
                                   ReduceSingleKernelPlan,
@@ -370,3 +371,74 @@ class TestPruneProperties:
             best = times[:, j].min()
             served = min(times[p.idx][j] for p in kept)
             assert served <= best * (1 + tolerance) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Parameter binding (exprgen)
+# ---------------------------------------------------------------------------
+
+_BIND_PARAMS = ("p", "q", "k")
+
+_bind_values = st.one_of(
+    st.integers(-7, 7), st.booleans(), st.integers(-7, 7).map(np.int64),
+    st.floats(-7, 7, width=32).map(np.float32), st.just(-0.0),
+    st.floats(-7, 7))
+
+_bind_leaves = st.one_of(
+    st.just(N.Var("x")),
+    st.sampled_from(_BIND_PARAMS).map(N.Var),
+    st.floats(-4, 4).map(N.Const),
+    st.sampled_from(("_i",) + _BIND_PARAMS).map(
+        lambda name: N.Index("aux", N.Var(name))))
+
+
+def _bind_nodes(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/"), children, children).map(
+            lambda t: N.BinOp(*t)),
+        st.tuples(st.sampled_from(("min", "max")), children, children).map(
+            lambda t: N.Call(t[0], [t[1], t[2]])),
+        st.tuples(children, children, children, children).map(
+            lambda t: N.Call("select",
+                             [N.BinOp("<", t[0], t[1]), t[2], t[3]])),
+        st.tuples(st.sampled_from(("sqrt", "exp")), children).map(
+            lambda t: N.Call(t[0], [t[1]])))
+
+
+def _outcome(fn, *args):
+    """A call's result as bytes, or the arithmetic error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            value = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    value = np.asarray(value)
+    return value.dtype, value.tobytes()
+
+
+class TestBindingProperty:
+    """Binding a parameter is bit-identical to folding its value in as
+    a constant, in both the scalar and the vector emitter."""
+
+    @given(st.recursive(_bind_leaves, _bind_nodes, max_leaves=12),
+           st.tuples(*[_bind_values] * len(_BIND_PARAMS)),
+           st.lists(st.floats(-8, 8), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_bound_equals_folded_constant(self, expr, values, xs):
+        params = dict(zip(_BIND_PARAMS, values))
+        folded = N.substitute(expr, {
+            name: v if isinstance(v, int) else float(v)
+            for name, v in params.items()})
+        aux = {"aux": np.linspace(-3.0, 4.0, 8)}
+        args = ["x", "_i"]
+        xv = np.asarray(xs, dtype=np.float64)
+        iv = np.arange(len(xs), dtype=np.int64)
+
+        bound_s = compile_scalar_fn(expr, args, params, arrays=aux)
+        const_s = compile_scalar_fn(folded, args, {}, arrays=aux)
+        for x, i in zip(xs, range(len(xs))):
+            assert _outcome(bound_s, x, i) == _outcome(const_s, x, i)
+
+        bound_v = compile_vector_fn(expr, args, params, arrays=aux)
+        const_v = compile_vector_fn(folded, args, {}, arrays=aux)
+        assert _outcome(bound_v, xv, iv) == _outcome(const_v, xv, iv)

@@ -217,3 +217,80 @@ class TestBufferArena:
             device.alloc(16, dtype=np.float64)
             device.to_device(np.ones(8))
         assert device.arena.hits == 2
+
+
+def _unseen_shape_case(app, dims, rng):
+    """``(program input, params, numpy reference)`` for one app shape."""
+    from repro.apps import blas1, imagepipe, stencil2d
+    a, b = dims
+    if app == "tmv":
+        matrix, vec, params = tmv.make_input(a, b, rng)
+        return matrix, params, tmv.reference(matrix, vec, a, b)
+    if app == "sdot":
+        data = blas1.make_input("sdot", a, 1, rng)
+        params = {"n": a, "r": 1}
+        return data, params, blas1.reference("sdot", data, params)
+    if app == "ocean_fft":
+        data, params = stencil2d.make_input(a, b, rng)
+        return data, params, stencil2d.reference(data, a)
+    data, params = imagepipe.make_input(a, b, rng)
+    return data, params, imagepipe.reference(data, a, b)
+
+
+@pytest.mark.serving
+class TestUnseenShapes:
+    """Element functions compile once per expression, so after one warm
+    run a program serves shapes it has never seen without compiling."""
+
+    APPS = ("tmv", "sdot", "ocean_fft", "imagepipe")
+
+    def _compile(self, app):
+        from repro import api
+        from repro.apps import blas1, imagepipe, stencil2d
+        if app == "tmv":
+            return api.compile(tmv.build())
+        if app == "sdot":
+            return api.compile(blas1.build("sdot"))
+        if app == "ocean_fft":
+            return api.compile(stencil2d.build())
+        return api.compile(imagepipe.build(), options=api.AdapticOptions(
+            placement=True, fuse_chains=True))
+
+    #: Per-app (lo, hi) of both axes; imagepipe reaches the sizes where
+    #: its map segment moves from the CPU variant to the GPU ones.
+    RANGES = {"tmv": ((8, 96), (8, 96)), "sdot": ((256, 8192), (1, 2)),
+              "ocean_fft": ((8, 96), (8, 96)),
+              "imagepipe": ((8, 320), (8, 320))}
+
+    def _shapes(self, app, rng):
+        (alo, ahi), (blo, bhi) = self.RANGES[app]
+        shapes = set()
+        while len(shapes) < 20:
+            a = int(rng.integers(alo, ahi))
+            b = int(rng.integers(blo, bhi))
+            if (a, b) != (32, 32):
+                shapes.add((a, b))
+        return sorted(shapes)
+
+    @pytest.mark.parametrize("app", APPS)
+    def test_unseen_shapes_compile_nothing(self, app):
+        rng = np.random.default_rng(11)
+        DeviceArray.reset_base_allocator()
+        program = self._compile(app)
+        options = RunOptions(exec_mode=MODE_VECTORIZED)
+        warm = (1024, 1) if app == "sdot" else (32, 32)
+        data, params, _ = _unseen_shape_case(app, warm, rng)
+        warm_strategies = {s.strategy for s in
+                           program.run(data, params, options=options)
+                           .selections}
+        seen = set()
+        before = COMPILE_COUNTER.snapshot()
+        for dims in self._shapes(app, rng):
+            data, params, expected = _unseen_shape_case(app, dims, rng)
+            result = program.run(data, params, options=options)
+            seen.update(s.strategy for s in result.selections)
+            np.testing.assert_allclose(result.output, expected,
+                                       rtol=1e-9, atol=1e-9)
+        assert COMPILE_COUNTER.since(before).total == 0
+        # The unseen shapes select variants the warm run never ran.
+        assert seen - warm_strategies
