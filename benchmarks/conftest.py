@@ -6,10 +6,11 @@ paper reports.  Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-Fused-execution benchmarks (``-m fusedexec``) additionally accumulate
-their measured numbers (throughput, speedups) and the session writes
-them to ``BENCH_fusedexec.json`` in the working directory, so CI can
-archive the machine-readable series next to the rendered tables.
+Suite benchmarks (``-m fusedexec``, ``-m multiaxis``, ``-m placement``)
+additionally record their measured numbers through ``bench_record``,
+and the session writes each suite's rows to ``BENCH_<suite>.json`` in
+the working directory, so CI can archive the machine-readable series
+next to the rendered tables.
 """
 
 import json
@@ -17,17 +18,8 @@ import os
 
 import pytest
 
-#: Metrics accumulated by fusedexec benchmarks this session:
-#: ``{metric_name: {...numbers...}}``.
-_FUSEDEXEC_RECORDS = {}
-
-#: Metrics accumulated by multiaxis benchmarks this session, written to
-#: ``BENCH_multiaxis.json`` (same contract as the fusedexec records).
-_MULTIAXIS_RECORDS = {}
-
-#: Metrics accumulated by placement benchmarks this session, written to
-#: ``BENCH_placement.json`` (same contract as the fusedexec records).
-_PLACEMENT_RECORDS = {}
+#: Metrics recorded this session: ``{suite: {metric_name: {...numbers...}}}``.
+_RECORDS = {}
 
 
 def emit(result) -> None:
@@ -42,36 +34,16 @@ def report():
 
 
 @pytest.fixture
-def fusedexec_record():
-    """Record one fusedexec metric for ``BENCH_fusedexec.json``."""
-    def record(name: str, **numbers) -> None:
-        _FUSEDEXEC_RECORDS[name] = numbers
-    return record
-
-
-@pytest.fixture
-def multiaxis_record():
-    """Record one multiaxis metric for ``BENCH_multiaxis.json``."""
-    def record(name: str, **numbers) -> None:
-        _MULTIAXIS_RECORDS[name] = numbers
-    return record
-
-
-@pytest.fixture
-def placement_record():
-    """Record one placement metric for ``BENCH_placement.json``."""
-    def record(name: str, **numbers) -> None:
-        _PLACEMENT_RECORDS[name] = numbers
+def bench_record():
+    """Record one metric row of a suite for ``BENCH_<suite>.json``."""
+    def record(suite: str, name: str, **numbers) -> None:
+        _RECORDS.setdefault(suite, {})[name] = numbers
     return record
 
 
 def pytest_sessionfinish(session, exitstatus):
-    for records, filename in ((_FUSEDEXEC_RECORDS, "BENCH_fusedexec.json"),
-                              (_MULTIAXIS_RECORDS, "BENCH_multiaxis.json"),
-                              (_PLACEMENT_RECORDS, "BENCH_placement.json")):
-        if not records:
-            continue
-        path = os.path.join(os.getcwd(), filename)
+    for suite, records in _RECORDS.items():
+        path = os.path.join(os.getcwd(), f"BENCH_{suite}.json")
         with open(path, "w") as handle:
             json.dump(records, handle, indent=2, sort_keys=True)
             handle.write("\n")

@@ -18,10 +18,17 @@ re-export of the types an application touches (:class:`CompiledProgram`,
 (:class:`AxisSpec` / :class:`RegionTable` / :class:`DecisionTable` /
 :class:`SegmentDispatch` / :class:`RegionDispatch`), the
 feedback/calibration types, the serving front door (:class:`Server` /
-:class:`ServeConfig`), and the GPU targets).  The facade adds no behavior, so the internal modules can keep
-moving without breaking callers; the historical entry points
-(``repro.compile_program``, ``repro.compiler.AdapticCompiler``) remain
-importable but new code should come through here.
+:class:`ServeConfig`), and the GPU targets).  The facade adds no
+behavior, so the internal modules can keep moving without breaking
+callers; the historical entry points (``repro.compile_program``,
+``repro.compiler.AdapticCompiler``) remain importable but new code
+should come through here.
+
+:class:`RunOptions` is the one way to configure a run: ``run``,
+``warmup``, ``run_batch``, ``run_many``, ``recalibrate`` and
+:class:`ServeConfig` all take it as ``options=``, and batches fan out
+over threads only.  A per-call ``exec_mode=`` / ``input_on_host=`` /
+``workers=`` keyword is a :class:`TypeError`.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ def compile(program: StreamProgram,
     a :class:`CompiledProgram`; run it with
     :meth:`~CompiledProgram.run` / :meth:`~CompiledProgram.run_many`,
     and feed measured time back into its variant selection with
-    ``run(..., feedback=True)`` or
+    ``run(..., options=RunOptions(feedback=True))`` or
     :meth:`~CompiledProgram.recalibrate`.
     """
     spec = get_target(arch) if isinstance(arch, str) else arch

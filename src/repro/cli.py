@@ -95,11 +95,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default 2.0)")
     parser.add_argument("--seed", type=int, default=None,
                         help="with serve-bench: traffic seed (default 0)")
-    parser.add_argument("--backend", choices=("thread", "process"),
-                        default=None,
-                        help="with serve-bench: executor backend for "
-                             "unfused dispatches (default thread; process "
-                             "uses bundle-warmed worker processes)")
     args = parser.parse_args(argv)
 
     spec = get_target(args.target)
@@ -289,17 +284,15 @@ def _serve_bench(spec, args) -> int:
     if args.seed is not None:
         traffic.seed = args.seed
     config = None
-    if (args.max_batch is not None or args.max_delay_ms is not None
-            or args.backend is not None):
+    if args.max_batch is not None or args.max_delay_ms is not None:
         n_requests = (traffic.requests_per_shape
                       * len(apps.tmv.shape_sweep(traffic.total_elements)))
         config = ServeConfig(
             max_batch=args.max_batch or traffic.requests_per_shape,
             max_delay_s=(args.max_delay_ms or 2.0) / 1e3,
             fuse_axis="rows", max_queue_depth=n_requests + 1,
-            workers=args.workers,
-            backend=args.backend or "thread",
-            exec_mode=api.ExecMode.VECTORIZED)
+            options=api.RunOptions(workers=args.workers,
+                                   exec_mode=api.ExecMode.VECTORIZED))
     report = run_benchmark(spec=spec, traffic=traffic, config=config)
     print(f"# serving front door vs serial run() — tmv on {spec.name}")
     print(render(report))

@@ -28,7 +28,6 @@ import itertools
 import math
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -41,7 +40,7 @@ from ..errors import (BundleFormatError, BundleProgramError, CalibrationError,
                       CompileError, KernelExecutionError, KernelTimeoutError,
                       ModelSweepError, ReproError, SelectionError)
 from ..faults import KIND_NAN, KIND_RAISE, KIND_TIMEOUT
-from ..gpu import Device, EXEC_MODES, ExecMode, GPUSpec, MODE_REFERENCE, \
+from ..gpu import Device, ExecMode, GPUSpec, MODE_REFERENCE, \
     MODE_VECTORIZED, PCIE_BANDWIDTH_GBPS
 from ..perfmodel import AxisSpec, CalibrationStore, DecisionTable, \
     FeedbackConfig, PerformanceModel, RegionTable, Variant, geometric_points, \
@@ -66,9 +65,7 @@ class InputLocation(str, enum.Enum):
 
     ``HOST`` inputs can be restructured on the host before the H2D copy;
     ``DEVICE`` inputs (e.g. a matrix reused across solver iterations) pin
-    the first segment to plans that need no host-side staging.  Replaces
-    the historical ``input_on_host`` booleans, which still coerce (with
-    one :class:`DeprecationWarning`) via :meth:`coerce`.
+    the first segment to plans that need no host-side staging.
     """
 
     HOST = "host"
@@ -81,40 +78,19 @@ class InputLocation(str, enum.Enum):
     def on_host(self) -> bool:
         return self is InputLocation.HOST
 
-    @classmethod
-    def coerce(cls, value, stacklevel: int = 3) -> "InputLocation":
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, bool):
-            warnings.warn(
-                "input_on_host booleans are deprecated; pass "
-                "repro.InputLocation.HOST or repro.InputLocation.DEVICE",
-                DeprecationWarning, stacklevel=stacklevel)
-            return cls.HOST if value else cls.DEVICE
-        return cls(value)
-
-
-#: Sentinel distinguishing "keyword not passed" from any real value, so
-#: the legacy run keywords can warn exactly once per explicit use.
-_UNSET = object()
-
 
 @dataclasses.dataclass
 class RunOptions:
     """Execution options for ``run`` / ``warmup`` / ``run_batch`` /
-    ``run_many`` (and, via :class:`~repro.serve.ServeConfig`, the serving
-    front door).
+    ``run_many`` / ``recalibrate`` (and, via
+    :class:`~repro.serve.ServeConfig`, the serving front door).
 
-    Consolidates the per-call keyword sprawl accreted over PRs 3-8
-    (``exec_mode``, ``input_on_host``, ``feedback``, ``workers``,
-    ``backend``) into one value that can be built once and reused across
-    calls.  The legacy keywords keep working on every entry point through
-    the established coercion pattern — each explicitly-passed one emits
-    exactly one :class:`DeprecationWarning` and produces bit-identical
-    results.
-
-    ``workers`` and ``backend`` only affect the batch entry points;
-    ``run`` / ``warmup`` ignore them.
+    The only way to configure a run: one value that can be built once
+    and reused across calls.  ``exec_mode`` and ``location`` are
+    normalized with the enum constructors, so an unknown mode or a
+    location that is not ``"host"`` / ``"device"`` (a ``bool``
+    included) raises :class:`ValueError`.  ``workers`` only affects the
+    batch entry points; ``run`` / ``warmup`` ignore it.
     """
 
     #: Executor path; ``None`` defers to the program's default mode.
@@ -126,74 +102,21 @@ class RunOptions:
     feedback: Union[bool, FeedbackConfig] = False
     #: Batch fan-out width (``run_batch`` / ``run_many`` only).
     workers: int = 1
-    #: Batch executor backend: ``"thread"`` or ``"process"``.
-    backend: str = "thread"
     #: Placement constraint: ``"auto"`` lets the cost model choose per
     #: segment, ``"gpu"`` / ``"cpu"`` pin every segment that has a plan
     #: on that side (segments without one keep their only placement).
     placement: str = "auto"
 
     def __post_init__(self):
-        self.exec_mode = ExecMode.coerce(self.exec_mode, stacklevel=4)
-        self.location = InputLocation.coerce(self.location, stacklevel=4)
-        if self.backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown run_batch backend {self.backend!r}; expected "
-                f"'thread' or 'process'")
+        if self.exec_mode is not None:
+            self.exec_mode = ExecMode(self.exec_mode)
+        self.location = InputLocation(self.location)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.placement not in ("auto", "gpu", "cpu"):
             raise ValueError(
                 f"unknown placement {self.placement!r}; expected "
                 f"'auto', 'gpu' or 'cpu'")
-
-
-def _resolve_run_options(options: Optional[RunOptions],
-                         legacy: Dict[str, object],
-                         stacklevel: int = 4) -> RunOptions:
-    """Merge deprecated per-call keywords over ``options``.
-
-    Every legacy keyword that was explicitly passed (is not the
-    ``_UNSET`` sentinel) emits exactly one :class:`DeprecationWarning`
-    and overrides the corresponding :class:`RunOptions` field.  Values
-    that would themselves warn on coercion (``input_on_host`` booleans,
-    ``exec_mode`` strings) are converted directly — the keyword warning
-    already covers the migration, so each call site warns once, not
-    twice.
-    """
-    supplied = {name: value for name, value in legacy.items()
-                if value is not _UNSET}
-    if not supplied:
-        return options if options is not None else RunOptions()
-    opts = (dataclasses.replace(options) if options is not None
-            else RunOptions())
-    hints = {
-        "exec_mode": "exec_mode=...",
-        "input_on_host": "location=...",
-        "feedback": "feedback=...",
-        "workers": "workers=...",
-        "backend": "backend=...",
-    }
-    for name, value in supplied.items():
-        warnings.warn(
-            f"the {name!r} keyword is deprecated; pass "
-            f"options=RunOptions({hints[name]}) instead",
-            DeprecationWarning, stacklevel=stacklevel)
-        if name == "input_on_host":
-            if isinstance(value, bool):
-                value = (InputLocation.HOST if value
-                         else InputLocation.DEVICE)
-            opts.location = InputLocation(value)
-        elif name == "exec_mode":
-            if value is not None and not isinstance(value, ExecMode):
-                try:
-                    value = ExecMode(value)
-                except ValueError:
-                    pass      # downstream validation names the modes
-            opts.exec_mode = value
-        else:
-            setattr(opts, name, value)
-    return opts
 
 
 class _CalibratedCost:
@@ -338,10 +261,6 @@ class CompiledProgram:
         self._chain_cache: Dict[tuple, object] = {}
         #: Arrays pinned so the id()-based chain-cache keys stay unambiguous.
         self._chain_pins: List[object] = []
-        #: Cached process pools for ``run_batch(backend="process")``,
-        #: keyed by worker count; kept warm across batches and torn down
-        #: by :meth:`clear_warm_caches` / interpreter exit.
-        self._process_pools: Dict[int, object] = {}
 
     @property
     def stats(self) -> SelectionStats:
@@ -448,7 +367,7 @@ class CompiledProgram:
 
     def select(self, params: Dict[str, float],
                force: Optional[Dict[str, str]] = None, *,
-               input_on_host: Union[InputLocation, bool] = InputLocation.HOST,
+               input_on_host: InputLocation = InputLocation.HOST,
                placement: str = "auto") -> List[KernelPlan]:
         """Pick one plan per segment for this input (runtime management).
 
@@ -475,7 +394,7 @@ class CompiledProgram:
         force = force or {}
         cost = self._selection_cost()
         chosen: List[KernelPlan] = []
-        location = InputLocation.coerce(input_on_host)
+        location = InputLocation(input_on_host)
         from_host = location.on_host
         quarantined = self.calibration.has_quarantines()
         bucket = size_bucket(params) if quarantined else None
@@ -526,7 +445,7 @@ class CompiledProgram:
 
     def select_argmin(self, params: Dict[str, float], *,
                       model: Optional[PerformanceModel] = None,
-                      input_on_host: Union[InputLocation, bool]
+                      input_on_host: InputLocation
                       = InputLocation.HOST,
                       placement: str = "auto") -> List[KernelPlan]:
         """Exact per-call argmin selection over a bare model.
@@ -538,7 +457,7 @@ class CompiledProgram:
         baked winners.  Counters are untouched.
         """
         cost = CostCache(model or PerformanceModel(self.spec))
-        location = InputLocation.coerce(input_on_host)
+        location = InputLocation(input_on_host)
         from_host = location.on_host
         chosen: List[KernelPlan] = []
         prev: Optional[str] = None
@@ -564,10 +483,10 @@ class CompiledProgram:
     def predicted_seconds(self, params: Dict[str, float],
                           include_transfers: bool = True,
                           force: Optional[Dict[str, str]] = None, *,
-                          input_on_host: Union[InputLocation, bool]
+                          input_on_host: InputLocation
                           = InputLocation.HOST,
                           placement: str = "auto") -> float:
-        location = InputLocation.coerce(input_on_host)
+        location = InputLocation(input_on_host)
         plans = self.select(params, force, input_on_host=location,
                             placement=placement)
         cost = self._selection_cost()
@@ -581,7 +500,7 @@ class CompiledProgram:
         return total
 
     def transfer_seconds(self, params: Dict[str, float], *,
-                         location: Union[InputLocation, bool]
+                         location: InputLocation
                          = InputLocation.HOST,
                          placements: Optional[Sequence[str]] = None
                          ) -> float:
@@ -598,7 +517,7 @@ class CompiledProgram:
         inside the chain pays exactly one hop sized by the segment
         input crossing it.  A chain ending on the CPU pays no exit D2H.
         """
-        location = InputLocation.coerce(location)
+        location = InputLocation(location)
         placements = tuple(placements) if placements is not None else None
         all_gpu = placements is None or all(p == "gpu" for p in placements)
         if location.on_host and all_gpu:
@@ -635,17 +554,13 @@ class CompiledProgram:
     # Execution
     # ------------------------------------------------------------------
     def _resolve_device(self, device: Optional[Device],
-                        exec_mode: Optional[str]) -> Device:
+                        exec_mode: Optional[ExecMode]) -> Device:
         """The device to run on; owned per exec mode when none is passed.
 
         Owned devices persist across ``run()`` calls so their buffer
         arenas stay warm — the second run at a shape recycles the first
         run's allocations instead of making fresh ones.
         """
-        if exec_mode is not None and exec_mode not in EXEC_MODES:
-            raise ValueError(
-                f"unknown exec_mode {exec_mode!r}; expected one of "
-                f"{[m.value for m in EXEC_MODES]}")
         if device is not None:
             if exec_mode is not None:
                 device.exec_mode = exec_mode
@@ -658,6 +573,15 @@ class CompiledProgram:
                                fault_injector=self.faults)
                 self._run_devices[mode] = owned
         return owned
+
+    def _check_params(self, params: Dict[str, float]) -> None:
+        """Raise :class:`ValueError` naming every unbound program parameter."""
+        missing = [name for name in self.program.params
+                   if name not in params]
+        if missing:
+            raise ValueError(
+                f"missing program parameter(s) {missing}; "
+                f"{self.program.name!r} declares {list(self.program.params)}")
 
     def _validate_input(self, host_input: np.ndarray,
                         params: Dict[str, float]) -> np.ndarray:
@@ -690,7 +614,7 @@ class CompiledProgram:
             # Fault injection targets per-segment launches; a fused span
             # would launder injected faults past their segment rules.
             return None
-        if ExecMode.coerce(device.exec_mode) != MODE_VECTORIZED:
+        if device.exec_mode != MODE_VECTORIZED:
             return None
         key = (tuple(id(plan) for plan in plans), freeze_scalars(params),
                freeze_arrays(params))
@@ -1167,16 +1091,13 @@ class CompiledProgram:
     def run(self, host_input: np.ndarray, params: Dict[str, float], *,
             options: Optional[RunOptions] = None,
             device: Optional[Device] = None,
-            force: Optional[Dict[str, str]] = None,
-            input_on_host=_UNSET, exec_mode=_UNSET,
-            feedback=_UNSET) -> RunResult:
+            force: Optional[Dict[str, str]] = None) -> RunResult:
         """Execute functionally on the simulator device.
 
         Execution options come in one :class:`RunOptions` value
-        (``options=``); the historical ``input_on_host`` /
-        ``exec_mode`` / ``feedback`` keywords still work, each emitting
-        one :class:`DeprecationWarning` and overriding the corresponding
-        ``options`` field with bit-identical behavior.
+        (``options=``).  Every declared program parameter must be bound
+        in ``params``; a missing one raises :class:`ValueError` naming it
+        before anything is evaluated.
 
         ``options.location=InputLocation.DEVICE`` models data already
         resident on the device: selection is constrained to plans that
@@ -1205,14 +1126,12 @@ class CompiledProgram:
         override :attr:`feedback` for this call.  The default leaves the
         calibration state untouched.
         """
-        opts = _resolve_run_options(options, {
-            "input_on_host": input_on_host, "exec_mode": exec_mode,
-            "feedback": feedback})
+        opts = options or RunOptions()
         location = opts.location
-        exec_mode = opts.exec_mode
         feedback = opts.feedback
-        device = self._resolve_device(device, exec_mode)
         params = dict(params)
+        self._check_params(params)
+        device = self._resolve_device(device, opts.exec_mode)
         host_input = self._validate_input(host_input, params)
         compile_before = COMPILE_COUNTER.snapshot()
         restructure_before = RESTRUCTURE_COUNTER.snapshot()
@@ -1244,9 +1163,7 @@ class CompiledProgram:
 
     def warmup(self, params: Dict[str, float], *,
                options: Optional[RunOptions] = None,
-               force: Optional[Dict[str, str]] = None,
-               input_on_host=_UNSET, exec_mode=_UNSET,
-               feedback=_UNSET) -> RunResult:
+               force: Optional[Dict[str, str]] = None) -> RunResult:
         """Prime every warm cache for one parameter binding.
 
         Runs the program once on a zero input of the expected size:
@@ -1254,29 +1171,23 @@ class CompiledProgram:
         compiled into the warm caches, restructure permutations are
         built, and the owned device's arena is stocked.  The next
         ``run()`` at these scalars is a pure warm path.  Accepts the
-        same :class:`RunOptions` / deprecated legacy keywords as
-        :meth:`run`.
+        same :class:`RunOptions` as :meth:`run`.
         """
-        opts = _resolve_run_options(options, {
-            "input_on_host": input_on_host, "exec_mode": exec_mode,
-            "feedback": feedback})
         params = dict(params)
+        self._check_params(params)
         if self.program.input_size is not None:
             expected = self.program.input_size.evaluate(params)
         else:
             expected = self.segments[0].input_size(params)
         zeros = np.zeros(int(expected), dtype=self.wire_dtype)
-        return self.run(zeros, params, force=force, options=opts)
+        return self.run(zeros, params, force=force, options=options)
 
     def run_batch(self, inputs: Sequence[np.ndarray],
                   params_list: Union[Dict[str, float],
                                      Sequence[Dict[str, float]]], *,
                   options: Optional[RunOptions] = None,
                   force: Optional[Dict[str, str]] = None,
-                  warm: bool = True,
-                  workers=_UNSET, backend=_UNSET,
-                  input_on_host=_UNSET, exec_mode=_UNSET,
-                  feedback=_UNSET) -> BatchOutcome:
+                  warm: bool = True) -> BatchOutcome:
         """Batch entry point with per-index outcomes and no batch abort.
 
         The serving front door's hook: identical semantics to
@@ -1296,39 +1207,22 @@ class CompiledProgram:
         it degraded onto a replacement variant, in which case it keeps
         its own re-selection wall — so
         :meth:`SelectionStats.stage_summary` totals stay truthful.
-        ``workers > 1`` fans the batch out over a thread pool with one
-        device per worker (arenas are not thread-safe); per-run counters
-        are merged into :attr:`stats` after the workers join.
+        ``options.workers > 1`` fans the batch out over a thread pool
+        with one device per worker (arenas are not thread-safe); per-run
+        counters are merged into :attr:`stats` after the workers join.
 
-        ``backend="process"`` fans out over a
-        :class:`~concurrent.futures.ProcessPoolExecutor` instead: worker
-        processes warm up instantly from an artifact bundle, inputs and
-        outputs cross the boundary through
-        :mod:`multiprocessing.shared_memory` segments sized by
-        :attr:`wire_dtype`, and per-worker counters/observations are
-        merged back here after the join — escaping the GIL for
-        CPU-bound batches (see :mod:`repro.compiler.procpool`).
+        A binding whose parameter check, warmup or selection raises
+        fails only its own indices, each recording that error; the rest
+        of the batch completes.
 
-        ``feedback=True`` folds one measured observation per distinct
-        scalar binding back into :attr:`calibration` after the batch
-        completes (never from worker threads — the store is
+        ``options.feedback=True`` folds one measured observation per
+        distinct scalar binding back into :attr:`calibration` after the
+        batch completes (never from worker threads — the store is
         unsynchronized).  A binding whose first completed item succeeded
         contributes its observation even when other items failed.
-
-        Execution options come in one :class:`RunOptions` value
-        (``options=``); the historical ``workers`` / ``backend`` /
-        ``input_on_host`` / ``exec_mode`` / ``feedback`` keywords still
-        work, each emitting one :class:`DeprecationWarning`.
         """
-        opts = _resolve_run_options(options, {
-            "workers": workers, "backend": backend,
-            "input_on_host": input_on_host, "exec_mode": exec_mode,
-            "feedback": feedback})
-        if opts.backend not in ("thread", "process"):
-            raise ValueError(
-                f"unknown run_batch backend {opts.backend!r}; expected "
-                f"'thread' or 'process'")
-        workers, backend = opts.workers, opts.backend
+        opts = options or RunOptions()
+        workers = opts.workers
         location, exec_mode = opts.location, opts.exec_mode
         feedback = opts.feedback
         inputs = list(inputs)
@@ -1339,13 +1233,6 @@ class CompiledProgram:
             raise ValueError(
                 f"run_batch got {len(inputs)} inputs but "
                 f"{len(params_list)} params")
-        if backend == "process":
-            from .procpool import run_batch_process
-            return run_batch_process(
-                self, inputs, params_list, workers=workers, force=force,
-                location=location, exec_mode=exec_mode, warm=warm,
-                feedback=feedback)
-
         # One selection (and optional warmup) per distinct scalar binding,
         # shared by every batch item at that binding.  The per-binding
         # select wall-clock is recorded so it can be attributed to the
@@ -1353,16 +1240,23 @@ class CompiledProgram:
         selections: Dict[tuple, List[KernelPlan]] = {}
         plan_costs: Dict[tuple, Dict[int, float]] = {}
         select_seconds: Dict[tuple, float] = {}
+        binding_errors: Dict[tuple, Exception] = {}
         for params in params_list:
             key = freeze_scalars(params)
-            if key in selections:
+            if key in selections or key in binding_errors:
                 continue
-            if warm:
-                self.warmup(params, force=force,
-                            options=dataclasses.replace(opts, feedback=False))
-            started = time.perf_counter()
-            plans = self.select(params, force, input_on_host=location,
-                                placement=opts.placement)
+            try:
+                self._check_params(params)
+                if warm:
+                    self.warmup(params, force=force,
+                                options=dataclasses.replace(
+                                    opts, feedback=False))
+                started = time.perf_counter()
+                plans = self.select(params, force, input_on_host=location,
+                                    placement=opts.placement)
+            except Exception as exc:
+                binding_errors[key] = exc
+                continue
             select_seconds[key] = time.perf_counter() - started
             selections[key] = plans
             plan_costs[key] = {id(plan): self.cost.plan_seconds(plan, params)
@@ -1423,6 +1317,12 @@ class CompiledProgram:
             # Per-item capture: one failing item must not discard the
             # completed items' results or their counters (pool.map's
             # first-exception propagation used to abort the whole batch).
+            if binding_errors:
+                failed = binding_errors.get(
+                    freeze_scalars(params_list[index]))
+                if failed is not None:
+                    errors[index] = failed
+                    return
             try:
                 result, delta = job(index)
             except Exception as exc:
@@ -1484,10 +1384,7 @@ class CompiledProgram:
                                     Sequence[Dict[str, float]]], *,
                  options: Optional[RunOptions] = None,
                  force: Optional[Dict[str, str]] = None,
-                 warm: bool = True,
-                 workers=_UNSET, backend=_UNSET,
-                 input_on_host=_UNSET, exec_mode=_UNSET,
-                 feedback=_UNSET) -> List[RunResult]:
+                 warm: bool = True) -> List[RunResult]:
         """Serve a batch of inputs through one shared warm path.
 
         ``params_list`` is either one params dict broadcast over the
@@ -1498,15 +1395,9 @@ class CompiledProgram:
         without an exception use :meth:`run_batch` directly.  Feedback
         for bindings whose first completed item succeeded is applied
         *before* the raise — completed measurements are never discarded.
-        ``options.backend="process"`` selects the bundle-warmed
-        process-pool fan-out (see :meth:`run_batch`).
         """
-        opts = _resolve_run_options(options, {
-            "workers": workers, "backend": backend,
-            "input_on_host": input_on_host, "exec_mode": exec_mode,
-            "feedback": feedback})
         outcome = self.run_batch(
-            inputs, params_list, options=opts, force=force, warm=warm)
+            inputs, params_list, options=options, force=force, warm=warm)
         if outcome.errors:
             failed = sorted(outcome.errors)
             first = outcome.errors[failed[0]]
@@ -1531,7 +1422,6 @@ class CompiledProgram:
     def recalibrate(self, points: Sequence[Dict[str, float]], *,
                     options: Optional[RunOptions] = None,
                     force: Optional[Dict[str, str]] = None,
-                    input_on_host=_UNSET,
                     feedback: Optional[FeedbackConfig] = None
                     ) -> CalibrationStore:
         """Drive the feedback loop over a set of parameter bindings.
@@ -1544,7 +1434,7 @@ class CompiledProgram:
         measured kernel wall-clock.  Returns :attr:`calibration`.
         """
         config = feedback or self.feedback
-        opts = _resolve_run_options(options, {"input_on_host": input_on_host})
+        opts = options or RunOptions()
         location = opts.location
         before = self.stats.snapshot()
         for params in points:
@@ -2152,9 +2042,7 @@ class CompiledProgram:
         work the paper charges to the initial transfer, so a cold start
         re-evaluates them), and resets the calibration store — measured
         feedback is warm state.  Also evicts the fused-chain kernel
-        cache, shuts down any cached process pools, and sweeps this
-        process's shared-memory segments so ``/dev/shm`` never leaks.
-        Baked dispatch tables survive — they are compile-time products,
+        cache.  Baked dispatch tables survive — they are compile-time products,
         not run-time warm state.
         """
         for segment in self.segments:
@@ -2166,11 +2054,6 @@ class CompiledProgram:
         self.calibration.reset()
         self._chain_cache.clear()
         self._chain_pins.clear()
-        if self._process_pools:
-            from .procpool import shutdown_worker_pools
-            shutdown_worker_pools(self)
-        from .procpool import cleanup_shared_memory
-        cleanup_shared_memory()
         with self._device_lock:
             for device in self._run_devices.values():
                 device.arena.clear()

@@ -41,7 +41,7 @@ from .arch import GPUSpec
 from .kernel import (Dim3, Kernel, LaunchConfig, ThreadCtx,
                      kernel_uses_barriers)
 from .memory import MemoryTracer, SharedMemory
-from .vectorized import (EXEC_MODES, ExecMode, MODE_REFERENCE,
+from .vectorized import (ExecMode, MODE_REFERENCE,
                          MODE_VECTORIZED, VectorCtx, VectorTracer)
 
 
@@ -80,7 +80,7 @@ class Executor:
     def __init__(self, spec: GPUSpec,
                  default_mode: ExecMode = MODE_REFERENCE):
         self.spec = spec
-        self.default_mode = ExecMode.coerce(default_mode)
+        self.default_mode = ExecMode(default_mode)
         self.reference_launches = 0
         #: Launches that ran in vectorized mode, on either body.
         self.vectorized_launches = 0
@@ -118,11 +118,7 @@ class Executor:
         ``vector_body``, and silently falls back to the reference
         interpreter when the kernel has neither.
         """
-        mode = ExecMode.coerce(mode) or self.default_mode
-        if mode not in EXEC_MODES:
-            raise LaunchError(
-                f"unknown execution mode {mode!r}; expected one of "
-                f"{[m.value for m in EXEC_MODES]}")
+        mode = self.default_mode if mode is None else ExecMode(mode)
         block = config.block
         grid = config.grid
         if block.count == 0 or grid.count == 0:

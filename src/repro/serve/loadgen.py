@@ -106,7 +106,8 @@ def run_benchmark(spec: Optional[GPUSpec] = None,
         config = ServeConfig(
             max_batch=traffic_spec.requests_per_shape,
             max_delay_s=0.002, fuse_axis="rows",
-            max_queue_depth=len(requests) + 1, exec_mode=exec_mode)
+            max_queue_depth=len(requests) + 1,
+            options=RunOptions(exec_mode=exec_mode))
 
     from .. import api
     compiled = api.compile(tmv.build(), arch=spec)

@@ -1,5 +1,6 @@
 """Feedback-directed kernel management: calibration store, probes,
-table repair, the ``repro.api`` facade, and the deprecation shims.
+table repair, the ``repro.api`` facade, and the rejection of removed
+option spellings.
 
 The calibration experiments' controlled setting is used throughout: a
 known multiplicative bias injected for one variant family stands in for
@@ -331,22 +332,42 @@ class TestApiFacade:
 
 
 class TestDeprecationShims:
-    def _one_deprecation(self, record):
-        deprecations = [w for w in record
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1, [str(w.message) for w in record]
-        return deprecations[0]
+    """No deprecated spelling survives: old forms fail loudly, at once."""
 
-    def test_exec_mode_string_run_warns_once(self, rng):
+    def test_invalid_values_and_legacy_keywords_are_rejected(self, rng):
         compiled = api.compile(sum_program())
         data = rng.standard_normal(256)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            result = compiled.run(data, {"n": 256, "r": 1},
-                                  exec_mode="vectorized")
-        warning = self._one_deprecation(record)
-        assert "exec_mode" in str(warning.message)
-        np.testing.assert_allclose(result.output[0], data.sum(), rtol=1e-6)
+        params = {"n": 256, "r": 1}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for location in (True, False):
+                with pytest.raises(ValueError):
+                    RunOptions(location=location)
+                with pytest.raises(ValueError):
+                    compiled.select(params, input_on_host=location)
+            with pytest.raises(ValueError):
+                RunOptions(exec_mode="warp-speed")
+            with pytest.raises(ValueError):
+                Device(TESLA_C2050, exec_mode="warp-speed")
+            legacy = {"exec_mode": ExecMode.VECTORIZED,
+                      "input_on_host": False, "feedback": True,
+                      "workers": 2, "backend": "thread"}
+            calls = {
+                "run": lambda **kw: compiled.run(data, params, **kw),
+                "warmup": lambda **kw: compiled.warmup(params, **kw),
+                "run_batch": lambda **kw: compiled.run_batch(
+                    [data], params, **kw),
+                "run_many": lambda **kw: compiled.run_many(
+                    [data], params, **kw),
+                "recalibrate": lambda **kw: compiled.recalibrate(
+                    [params], **kw),
+            }
+            for name, call in calls.items():
+                for keyword, value in legacy.items():
+                    if name == "recalibrate" and keyword == "feedback":
+                        continue    # recalibrate's real FeedbackConfig
+                    with pytest.raises(TypeError):
+                        call(**{keyword: value})
 
     def test_exec_mode_enum_does_not_warn(self, rng):
         compiled = api.compile(sum_program())
@@ -357,28 +378,6 @@ class TestDeprecationShims:
                          options=RunOptions(exec_mode=ExecMode.REFERENCE))
         assert not [w for w in record
                     if issubclass(w.category, DeprecationWarning)]
-
-    def test_input_on_host_bool_warns_once(self, rng):
-        compiled = api.compile(sum_program())
-        data = rng.standard_normal(256)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            compiled.run(data, {"n": 256, "r": 1}, input_on_host=False)
-        warning = self._one_deprecation(record)
-        assert "input_on_host" in str(warning.message)
-
-    def test_select_bool_warns_once(self):
-        compiled = api.compile(sum_program())
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            compiled.select({"n": 256, "r": 1}, input_on_host=True)
-        self._one_deprecation(record)
-
-    def test_device_exec_mode_string_warns_once(self):
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            Device(TESLA_C2050, exec_mode="reference")
-        self._one_deprecation(record)
 
     def test_invalid_exec_mode_still_raises_without_warning(self, rng):
         compiled = api.compile(sum_program())

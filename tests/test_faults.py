@@ -375,7 +375,7 @@ class TestWorkerExecMode:
         class RecordingDevice(Device):
             def __init__(self, spec, exec_mode=MODE_REFERENCE,
                          fault_injector=None):
-                created.append(ExecMode.coerce(exec_mode))
+                created.append(ExecMode(exec_mode))
                 super().__init__(spec, exec_mode=exec_mode,
                                  fault_injector=fault_injector)
 

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.apps import blas1, imagepipe, tmv
+from repro.compiler import AdapticCompiler, AdapticOptions
 from repro.gpu import Device, TESLA_C2050
 from repro.gpu.memory import bank_conflict_degree, coalesce_transactions
 from repro.ir import classify, lift_code, run_work
@@ -24,6 +26,8 @@ from repro.compiler.plans.multireduce import HorizontalReducePlan
 from repro.compiler.plans.reduceplan import (LAYOUT_ROW_SOA, LAYOUT_ROWS,
                                              LAYOUT_TRANSPOSED)
 from repro.compiler.reducers import ScalarReducer, reducer_for
+from repro.compiler.segments import RegionDispatch, SegmentDispatch
+from repro.perfmodel import geometric_points
 from repro.streamit import Filter, Pipeline, flatten, rate_match
 
 from workloads import (ISAMAX_SRC, MIN_SRC, STENCIL5_SRC, SUM_SRC,
@@ -442,3 +446,62 @@ class TestBindingProperty:
         bound_v = compile_vector_fn(expr, args, params, arrays=aux)
         const_v = compile_vector_fn(folded, args, {}, arrays=aux)
         assert _outcome(bound_v, xv, iv) == _outcome(const_v, xv, iv)
+
+
+# ---------------------------------------------------------------------------
+# Baked dispatch tables
+# ---------------------------------------------------------------------------
+
+#: name -> (program builder, compile options, pinned extras).  Pinning all
+#: but one input axis bakes a 1-D table (k=1); two free axes bake a k-d
+#: region table (k=2).
+_BAKES = {
+    "sdot r=1": (lambda: blas1.build("sdot"), {}, {"r": 1}),
+    "tmv cols=64": (tmv.build, {}, {"cols": 64}),
+    "tmv": (tmv.build, {}, {}),
+    "imagepipe placed+fused": (imagepipe.build,
+                               {"placement": True, "fuse_chains": True}, {}),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _baked(name, samples):
+    build, options, extras = _BAKES[name]
+    compiled = AdapticCompiler(SPEC, AdapticOptions(**options)).compile(
+        build())
+    compiled.bake_decision_tables(samples=samples, extra_params=extras)
+    return compiled
+
+
+class TestBakedTableProperty:
+    """A baked table answers every in-range point of its sweep grid with
+    the exact model-argmin winner, for 1-D and k-d tables alike.  A 1-D
+    table's refined break-even points are swept points too."""
+
+    @given(st.sampled_from(sorted(_BAKES)), st.integers(4, 8), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_lookup_equals_argmin_on_sweep_grid(self, name, samples, data):
+        compiled = _baked(name, samples)
+        extras = _BAKES[name][2]
+        ranges = compiled.program.input_ranges
+        free = sorted(set(ranges) - set(extras))
+        point = dict(extras)
+        family = SegmentDispatch if len(free) == 1 else RegionDispatch
+        for axis in free:
+            values = set(geometric_points(*ranges[axis], samples))
+            if family is SegmentDispatch:
+                values.update(bound for segment in compiled.segments
+                              if segment.dispatch is not None
+                              for sub in segment.dispatch.table.subranges
+                              for bound in (sub.lo, sub.hi))
+            point[axis] = data.draw(st.sampled_from(sorted(values)),
+                                    label=axis)
+        exact = compiled.select_argmin(point)
+        baked = [(index, segment.dispatch)
+                 for index, segment in enumerate(compiled.segments)
+                 if segment.dispatch is not None]
+        assert baked
+        for index, dispatch in baked:
+            assert type(dispatch) is family
+            assert dispatch.lookup(point, index == 0) \
+                == exact[index].strategy

@@ -6,6 +6,7 @@ import pytest
 from repro import (AdapticOptions, Filter, GTX_480, Pipeline, StreamProgram,
                    compile_program)
 from repro.compiler import AdapticCompiler, InputLocation, RunOptions
+from repro.apps import blas1
 from repro.gpu import Device, TESLA_C2050
 
 from workloads import SCALE_SRC, SUM_SRC
@@ -107,6 +108,49 @@ class TestMultiSegmentExecution:
             data, {"n": 64, "a": 0.5},
             force={seg1.name: "reduce.two_kernel"})
         assert result.selections[1].strategy == "reduce.two_kernel"
+
+
+class TestMissingParameter:
+    """Regression: an unbound parameter fails only its own request.
+
+    It used to surface as a raw ``NameError`` from evaluating the input
+    size, and inside a batch it aborted every item.
+    """
+
+    GOOD = {"n": 4096, "r": 1}
+    BAD = {"n": 4096}
+
+    def _sdot(self):
+        return compile_program(blas1.build("sdot"))
+
+    def test_run_and_warmup_name_the_missing_parameter(self):
+        compiled = self._sdot()
+        data = blas1.make_input("sdot", 4096)
+        with pytest.raises(ValueError, match="'r'"):
+            compiled.run(data, self.BAD)
+        with pytest.raises(ValueError, match="'r'"):
+            compiled.warmup(self.BAD)
+
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_bad_binding_fails_only_its_own_items(self, warm):
+        compiled = self._sdot()
+        data = blas1.make_input("sdot", 4096)
+        outcome = compiled.run_batch([data, data, data],
+                                     [self.GOOD, self.BAD, self.GOOD],
+                                     warm=warm)
+        assert sorted(outcome.errors) == [1]
+        assert isinstance(outcome.errors[1], ValueError)
+        assert "'r'" in str(outcome.errors[1])
+        expected = compiled.run(data, self.GOOD).output
+        for index in (0, 2):
+            assert outcome.results[index].output.tobytes() \
+                == expected.tobytes()
+        with pytest.raises(Exception) as exc_info:
+            compiled.run_many([data, data], [self.GOOD, self.BAD],
+                              warm=warm)
+        assert exc_info.value.batch_index == 1
+        assert isinstance(exc_info.value.batch_errors[1], ValueError)
+        assert exc_info.value.partial_results[0] is not None
 
 
 class TestDeviceResidentInput:
@@ -298,82 +342,3 @@ def square(n):
         assert delta.hydrated > 0
         assert result.output.tobytes() == baseline.output.tobytes()
         assert cold.stats.fused_chain_runs == 1
-
-
-@pytest.mark.fusedexec
-class TestProcessPoolBackend:
-    """``run_batch``/``run_many`` with ``backend="process"``."""
-
-    def _compiled(self):
-        prog = StreamProgram(
-            Pipeline(Filter(SCALE_SRC, pop="n", push="n"),
-                     Filter(SUM_SRC, pop="n", push=1)),
-            params=["n", "a"], input_size="n")
-        options = AdapticOptions(integration=False)
-        return AdapticCompiler(TESLA_C2050, options).compile(prog)
-
-    def test_outputs_match_threaded_and_stats_merge(self, rng):
-        compiled = self._compiled()
-        inputs = [rng.standard_normal(256) for _ in range(5)]
-        params = {"n": 256, "a": 2.0}
-        threaded = compiled.run_many(inputs, params, options=RunOptions(workers=2))
-        before = compiled.stats.snapshot()
-        pooled = compiled.run_many(inputs, params, options=RunOptions(workers=2, backend="process"))
-        delta = compiled.stats.since(before)
-        for a, b in zip(threaded, pooled):
-            assert np.array_equal(a.output, b.output)
-        # Worker deltas merged in the parent after the join: one run per
-        # item plus the parent-side warmup run.
-        assert delta.runs == len(inputs) + 1
-        assert all(result.stage_seconds["kernel"] >= 0
-                   for result in pooled)
-        compiled.clear_warm_caches()
-
-    def test_bundle_warmed_workers_compile_nothing(self, rng):
-        compiled = self._compiled()
-        params = {"n": 512, "a": 1.5}
-        compiled.warmup(params)      # parent compiles here, workers won't
-        inputs = [rng.standard_normal(512) for _ in range(4)]
-        before = compiled.stats.snapshot()
-        compiled.run_many(inputs, params, options=RunOptions(workers=2, backend="process"))
-        delta = compiled.stats.since(before)
-        assert delta.expr_compiles == 0      # counter-asserted: zero
-        assert delta.expr_hydrations > 0     # bundle-hydrated instead
-        compiled.clear_warm_caches()
-
-    def test_per_index_failure_capture_parity(self, rng):
-        compiled = self._compiled()
-        params = {"n": 128, "a": 1.0}
-        good = [rng.standard_normal(128) for _ in range(3)]
-        bad = list(good)
-        bad[1] = np.zeros(5)                 # wrong size
-        threaded = compiled.run_batch(bad, params, options=RunOptions(workers=2))
-        pooled = compiled.run_batch(bad, params, options=RunOptions(workers=2, backend="process"))
-        for outcome in (threaded, pooled):
-            assert sorted(outcome.errors) == [1]
-            assert isinstance(outcome.errors[1], ValueError)
-            assert outcome.results[0] is not None
-            assert outcome.results[2] is not None
-        assert np.array_equal(threaded.results[0].output,
-                              pooled.results[0].output)
-        with pytest.raises(Exception) as exc_info:
-            compiled.run_many(bad, params, options=RunOptions(workers=2, backend="process"))
-        assert getattr(exc_info.value, "batch_index", None) == 1
-        compiled.clear_warm_caches()
-
-    def test_unknown_backend_rejected(self, rng):
-        compiled = self._compiled()
-        with pytest.raises(ValueError, match="backend"):
-            compiled.run_batch([rng.standard_normal(128)],
-                               {"n": 128, "a": 1.0}, options=RunOptions(backend="mpi"))
-
-    def test_shared_memory_swept(self, rng):
-        import os
-        compiled = self._compiled()
-        inputs = [rng.standard_normal(128) for _ in range(2)]
-        compiled.run_many(inputs, {"n": 128, "a": 1.0}, options=RunOptions(workers=2, backend="process"))
-        compiled.clear_warm_caches()
-        if os.path.isdir("/dev/shm"):
-            leftovers = [name for name in os.listdir("/dev/shm")
-                         if name.startswith("psm_")]
-            assert leftovers == []
