@@ -3,8 +3,8 @@
 The paper's runtime claims selection overhead hides under the initial
 transfer; this suite pins down the rest of the repeat-run story.  After
 one cold execution at a shape, the Nth ``run()`` must be a pure warm
-path: zero expression compilations, zero restructure-permutation
-rebuilds (both counter-asserted, not timed), and ``run_many`` must beat
+path: zero expression compilations and zero schedule lowerings (both
+counter-asserted, not timed), and ``run_many`` must beat
 a cold-start loop by at least 3x throughput on a Figure-10-style TMV
 sweep.  Warm outputs must be bit-identical to cold ones under both
 executor modes.
@@ -18,7 +18,7 @@ import pytest
 from repro.apps import tmv
 from repro.compiler import AdapticCompiler
 from repro.compiler.exprgen import COMPILE_COUNTER
-from repro.compiler.plans.base import RESTRUCTURE_COUNTER
+from repro.compiler.schedule import CANONICAL_LAYOUTS
 from repro.gpu import (DeviceArray, MODE_REFERENCE, MODE_VECTORIZED,
                        TESLA_C2050)
 from repro.compiler import RunOptions
@@ -39,33 +39,34 @@ class TestWarmRunIsZeroWork:
         """Counter-asserted: the 2nd run() at a shape is pure warm path."""
         compiled = _compile_tmv()
         rng = np.random.default_rng(7)
-        cold_builds = 0
+        restructured = 0
         for rows, cols in tmv.shape_sweep(SWEEP_ELEMENTS):
             matrix, _vec, params = tmv.make_input(rows, cols, rng)
-            before = RESTRUCTURE_COUNTER.snapshot()
+            stats_before = compiled.stats.snapshot()
             cold = compiled.run(matrix, params, options=RunOptions(exec_mode=MODE_VECTORIZED))
-            cold_builds += RESTRUCTURE_COUNTER.since(before).perm_builds
+            assert compiled.stats.since(stats_before).schedule_builds == 1
+            first = compiled.segments[0].plan_named(
+                cold.selections[0].strategy)
+            restructured += first.input_layout not in CANONICAL_LAYOUTS
 
             compile_before = COMPILE_COUNTER.snapshot()
-            restructure_before = RESTRUCTURE_COUNTER.snapshot()
             stats_before = compiled.stats.snapshot()
             warm = compiled.run(matrix, params, options=RunOptions(exec_mode=MODE_VECTORIZED))
 
             compiled_delta = COMPILE_COUNTER.since(compile_before)
-            rebuilt = RESTRUCTURE_COUNTER.since(restructure_before)
             stats_delta = compiled.stats.since(stats_before)
             assert compiled_delta.total == 0, \
                 f"warm run at {rows}x{cols} compiled " \
                 f"{compiled_delta.total} expressions"
-            assert rebuilt.perm_builds == 0, \
-                f"warm run at {rows}x{cols} rebuilt a permutation"
+            assert stats_delta.schedule_builds == 0, \
+                f"warm run at {rows}x{cols} lowered its chain again"
             assert stats_delta.expr_compiles == 0
             assert stats_delta.restructure_builds == 0
             assert stats_delta.runs == 1
             assert warm.output.tobytes() == cold.output.tobytes()
-        # The sweep must actually exercise the restructure cache: at
-        # least one shape's winning plan needs a host-side permutation.
-        assert cold_builds >= 1
+        # The sweep must actually exercise host-side staging: at least
+        # one shape's winning plan reads a restructured layout.
+        assert restructured >= 1
 
     @pytest.mark.parametrize("mode", [MODE_REFERENCE, MODE_VECTORIZED])
     def test_warm_and_cold_outputs_bit_identical(self, mode):
@@ -102,7 +103,7 @@ class TestRunManyThroughput:
         The serving pattern under test: ``warmup()`` once per distinct
         binding, then ``run_many`` the whole batch through the shared
         warm caches.  The cold loop pays selection, kernel compilation,
-        permutation rebuild, and fresh allocations on every request.
+        schedule lowering, and fresh allocations on every request.
         """
         repeats = 8
         rng = np.random.default_rng(42)

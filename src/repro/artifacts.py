@@ -1,15 +1,14 @@
 """Versioned artifact bundles: the complete warm state of a compiled program.
 
 The paper's input-aware compilation pays a one-off cost — variant pruning,
-break-even sweeps, expression compilation, restructure permutation builds —
-that today dies with the process.  An :class:`ArtifactBundle` serializes
+break-even sweeps, expression compilation — that today dies with the
+process.  An :class:`ArtifactBundle` serializes
 everything the warm path needs so a *fresh* process can serve its first
 request with zero perf-model evaluations and zero expression compiles:
 
 * per-segment dispatch/decision tables with their exact break-even points;
 * the surviving (unpruned) variant set per segment;
 * generated kernel source recorded by :mod:`repro.compiler.exprgen`;
-* restructure permutations (bit-exact, base64);
 * memoized cost-model entries and transfer-time memo;
 * the measured-feedback :class:`~repro.perfmodel.calibration.CalibrationStore`
   (factors, probes, quarantines, observation windows).
@@ -29,7 +28,6 @@ can use :func:`atomic_write_json` without an import cycle.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import hashlib
 import json
@@ -43,12 +41,14 @@ from .errors import (BundleArchError, BundleFormatError, BundleProgramError,
                      BundleVersionError)
 
 #: Schema version written into every bundle; bump on layout changes.
-#: Version 2 keys ``sources`` per expression (``kind|name|args|digest``)
-#: with binding-independent factory sources; version-1 keys carried
-#: folded scalars, so a version-1 bundle would load and then compile cold.
-BUNDLE_SCHEMA_VERSION = 2
+#: Version 3 drops the per-segment restructure ``permutations``: staging
+#: is a strided view, so there is nothing to carry.  Version 2 keyed
+#: ``sources`` per expression as version 3 does, but its permutation
+#: payload has no reader any more; version-1 keys carried folded
+#: scalars, so a version-1 bundle would load and then compile cold.
+BUNDLE_SCHEMA_VERSION = 3
 #: Schema versions this build can read.
-SUPPORTED_BUNDLE_VERSIONS = (2,)
+SUPPORTED_BUNDLE_VERSIONS = (3,)
 
 
 # ----------------------------------------------------------------------
@@ -84,22 +84,6 @@ def atomic_write_json(path: str, payload: Any, *, indent: int = 2) -> None:
 # ----------------------------------------------------------------------
 # Value codecs
 # ----------------------------------------------------------------------
-def encode_ndarray(array: np.ndarray) -> Dict[str, Any]:
-    """Bit-exact JSON form of an ndarray (dtype + shape + base64 bytes)."""
-    array = np.ascontiguousarray(array)
-    return {
-        "dtype": array.dtype.str,
-        "shape": list(array.shape),
-        "data": base64.b64encode(array.tobytes()).decode("ascii"),
-    }
-
-
-def decode_ndarray(payload: Dict[str, Any]) -> np.ndarray:
-    raw = base64.b64decode(payload["data"].encode("ascii"))
-    array = np.frombuffer(raw, dtype=np.dtype(payload["dtype"]))
-    return array.reshape(tuple(payload["shape"])).copy()
-
-
 def _encode_scalar(value: Any) -> Any:
     """Coerce numpy scalars to plain JSON-safe Python scalars."""
     if isinstance(value, np.generic):
@@ -202,7 +186,7 @@ class ArtifactBundle:
     """Serialized warm state of one :class:`CompiledProgram`.
 
     ``segments`` is a list of per-segment dicts (name, kind, surviving
-    strategies, pruned strategies, dispatch payload, permutations);
+    strategies, pruned strategies, dispatch payload);
     ``costs``/``transfers`` are memo entries; ``calibration`` is the
     :meth:`CalibrationStore.to_dict` payload; ``sources`` maps exprgen
     source keys to generated kernel source — one factory per expression,
@@ -328,13 +312,11 @@ class ArtifactBundle:
         ]
         for seg in self.segments:
             dispatches = seg.get("dispatch") or []
-            perms = seg.get("permutations") or []
             lines.append(
                 f"  segment {seg['name']} [{seg['kind']}]: "
                 f"{len(seg['strategies'])} variant(s) "
                 f"({', '.join(seg['strategies'])}), "
-                f"{len(dispatches)} dispatch table(s), "
-                f"{len(perms)} permutation(s)")
+                f"{len(dispatches)} dispatch table(s)")
             for dispatch in dispatches:
                 if dispatch.get("kind") == "region":
                     region = dispatch.get("region") or {}

@@ -49,7 +49,8 @@ class CompileCounter:
         return self.scalar + self.vector
 
     def snapshot(self) -> "CompileCounter":
-        return dataclasses.replace(self)
+        return CompileCounter(self.scalar, self.vector, self.seconds,
+                              self.hydrated)
 
     def since(self, earlier: "CompileCounter") -> "CompileCounter":
         return CompileCounter(self.scalar - earlier.scalar,
@@ -477,6 +478,17 @@ def _v_max(a, b):
     return _np.where(_np.asarray(b) > _np.asarray(a), b, a)
 
 
+def _v_num(x):
+    """A bool as Python arithmetic sees it, the int 0 or 1 (numpy's bool
+    ``+`` is *or* and its ``-`` raises): ``max(k, k) + max(k, k)`` is 2
+    and ``k - min(k, k)`` is 0 on both executor paths."""
+    if isinstance(x, (bool, _np.bool_)):
+        return int(x)
+    if isinstance(x, _np.ndarray) and x.dtype == _np.bool_:
+        return x.astype(_np.int64)
+    return x
+
+
 def _v_int(x):
     return _np.asarray(x).astype(_np.int64)
 
@@ -501,7 +513,7 @@ _VEC_NAMESPACE: Dict[str, object] = {
     "_np": _np, "math": math,
     "_v_exp": _v_exact(math.exp), "_v_log": _v_exact(math.log),
     "_v_sin": _v_exact(math.sin), "_v_cos": _v_exact(math.cos),
-    "_v_min": _v_min, "_v_max": _v_max,
+    "_v_min": _v_min, "_v_max": _v_max, "_v_num": _v_num,
     "_v_int": _v_int, "_v_float": _v_float, "_v_index": _v_index,
     "_v_where": _np.where,
     "_v_and": _np.logical_and, "_v_or": _np.logical_or,
@@ -509,11 +521,38 @@ _VEC_NAMESPACE: Dict[str, object] = {
 }
 
 
+_ARITHMETIC = frozenset(("+", "-", "*", "/", "//", "%", "**"))
+#: numpy keeps (``abs``) or narrows (``sqrt``/``floor``: float16) a bool.
+_NUMERIC_INTRINSICS = frozenset(("sqrt", "floor", "abs"))
+
+
+def _vector_number(expr: N.Expr, args: Sequence[str]) -> str:
+    """Render an arithmetic operand, through ``_v_num`` when its value
+    can be a bool: a parameter, a bool constant, a comparison or logical
+    operator, or ``min``/``max``/``select``/``abs`` of one."""
+    text = vector_expr(expr, args)
+    if isinstance(expr, N.Const):
+        maybe_bool = isinstance(expr.value, bool)
+    elif isinstance(expr, N.Var):
+        maybe_bool = expr.name not in args
+    elif isinstance(expr, N.BinOp):
+        maybe_bool = expr.op not in _ARITHMETIC
+    elif isinstance(expr, N.Call):
+        maybe_bool = expr.fn in ("min", "max", "select", "abs")
+    else:
+        maybe_bool = isinstance(expr, N.UnaryOp) and expr.op == "not"
+    return f"_v_num({text})" if maybe_bool else text
+
+
 def vector_expr(expr: N.Expr, args: Sequence[str]) -> str:
     """Render ``expr`` as a numpy expression over array-valued ``args``."""
     if isinstance(expr, (N.Const, N.Var)):
         return python_expr(expr, args)
     if isinstance(expr, N.BinOp):
+        if expr.op in _ARITHMETIC:
+            left = _vector_number(expr.left, args)
+            right = _vector_number(expr.right, args)
+            return f"({left} {expr.op} {right})"
         left = vector_expr(expr.left, args)
         right = vector_expr(expr.right, args)
         if expr.op == "and":
@@ -522,13 +561,17 @@ def vector_expr(expr: N.Expr, args: Sequence[str]) -> str:
             return f"_v_or({left}, {right})"
         return f"({left} {expr.op} {right})"
     if isinstance(expr, N.UnaryOp):
-        inner = vector_expr(expr.operand, args)
-        return f"_v_not({inner})" if expr.op == "not" else f"(-{inner})"
+        if expr.op == "not":
+            return f"_v_not({vector_expr(expr.operand, args)})"
+        return f"(-{_vector_number(expr.operand, args)})"
     if isinstance(expr, N.Call):
         if expr.fn == "select":
             cond, a, b = (vector_expr(e, args) for e in expr.args)
             return f"_v_where({cond}, {a}, {b})"
-        inners = [vector_expr(a, args) for a in expr.args]
+        if expr.fn in _NUMERIC_INTRINSICS:
+            inners = [_vector_number(a, args) for a in expr.args]
+        else:
+            inners = [vector_expr(a, args) for a in expr.args]
         if expr.fn in ("min", "max"):
             acc = inners[0]
             for nxt in inners[1:]:

@@ -32,34 +32,6 @@ LAYOUT_RESTRUCTURED = "restructured"  # component-major, SoA
 
 
 @dataclasses.dataclass
-class RestructureCounter:
-    """Process-wide tally of host-side restructuring work.
-
-    ``perm_builds`` counts permutation index arrays actually constructed
-    (the O(n) part a warm run must never repeat); ``perm_hits`` counts
-    memoized reuses; ``gathers`` counts fancy-index applications (one per
-    non-canonical staging, warm or cold).
-    """
-
-    perm_builds: int = 0
-    perm_hits: int = 0
-    gathers: int = 0
-
-    def snapshot(self) -> "RestructureCounter":
-        return dataclasses.replace(self)
-
-    def since(self, earlier: "RestructureCounter") -> "RestructureCounter":
-        return RestructureCounter(self.perm_builds - earlier.perm_builds,
-                                  self.perm_hits - earlier.perm_hits,
-                                  self.gathers - earlier.gathers)
-
-
-RESTRUCTURE_COUNTER = RestructureCounter()
-
-_MISS = object()
-
-
-@dataclasses.dataclass
 class PlannedLaunch:
     """One kernel launch in a plan, with its modeled workload."""
 
@@ -89,15 +61,10 @@ class KernelPlan(abc.ABC):
         self.optimizations: List[str] = []
         #: Input layout the plan requires.
         self.input_layout: str = LAYOUT_INTERLEAVED
-        #: Warm-path cache: bound artifacts (element fns, reducers,
-        #: offsets, restructure permutations) keyed per parameter binding.
-        self._warm_cache: Dict[tuple, Any] = {}
-        #: Element factories, compiled once per expression and bound into
-        #: the per-binding artifacts above (a program shares one cache
-        #: across its plans, see :meth:`use_factories`).
+        #: Element factories, compiled once per expression and bound per
+        #: binding by :meth:`bind` (a program shares one cache across its
+        #: plans, see :meth:`use_factories`).
         self.factories = KernelFactories()
-        #: Arrays pinned so the id()-based keys can never be recycled.
-        self._warm_pins: List[Any] = []
 
     # -- identity ---------------------------------------------------------
     @property
@@ -132,18 +99,45 @@ class KernelPlan(abc.ABC):
         return total
 
     # -- execution ----------------------------------------------------------
-    @abc.abstractmethod
+    def bind(self, params: Dict[str, float]
+             ) -> Callable[[Device, DeviceArray], DeviceArray]:
+        """Specialize this plan to one parameter binding.
+
+        Everything that depends only on the binding — sizes, bound
+        element functions and reducers, tile, offsets, cell masks,
+        launch geometry — is derived here, once; the returned
+        ``run(device, inbuf) -> out`` only allocates its output and
+        launches.  The runtime lowers each warm binding's chain into
+        these (see :mod:`repro.compiler.schedule`).  Host-placed plans
+        inherit this default: their device path copies the host
+        result of :meth:`execute_host` into a device buffer.
+        """
+        bound = self.bind_host(params)
+        name = f"{self.name}.out"
+
+        def run(device: Device, inbuf: DeviceArray) -> DeviceArray:
+            return device.alloc_from(self.execute_host(inbuf.data, bound),
+                                     name=name)
+        return run
+
     def execute(self, device: Device, buffers: Dict[str, DeviceArray],
                 params: Dict[str, float]) -> DeviceArray:
         """Run functionally; returns the segment output buffer."""
+        return self.bind(params)(device, buffers[IN])
 
-    def execute_host(self, data: np.ndarray,
-                     params: Dict[str, float]) -> np.ndarray:
+    def bind_host(self, params: Dict[str, float]) -> Any:
+        """The binding-only state :meth:`execute_host` consumes."""
+        raise NotImplementedError(
+            f"{type(self).__name__} ({self.strategy}) is a GPU plan; "
+            f"it has no host execution path")
+
+    def execute_host(self, data: np.ndarray, bound: Any) -> np.ndarray:
         """Run on the host: consume a host array, return a host array.
 
-        Only meaningful for ``placement == "cpu"`` plans; the runtime
-        calls this instead of :meth:`execute` when the segment is placed
-        on the CPU, so no device buffer round-trip happens at all.
+        ``bound`` is :meth:`bind_host`'s result for the binding.  Only
+        meaningful for ``placement == "cpu"`` plans; the runtime calls
+        this instead of :meth:`execute` when the segment is placed on
+        the CPU, so no device buffer round-trip happens at all.
         """
         raise NotImplementedError(
             f"{type(self).__name__} ({self.strategy}) is a GPU plan; "
@@ -168,108 +162,20 @@ class KernelPlan(abc.ABC):
     def output_size(self, params: Dict[str, float]) -> int:
         """Number of elements the segment produces."""
 
-    # -- warm-path artifact cache ----------------------------------------
-    def warm_key(self, params) -> tuple:
-        """Hashable identity of a parameter binding for artifact reuse.
-
-        Scalars by value, array-valued entries by ``id()`` — compiled
-        element functions embed auxiliary arrays into their namespaces, so
-        two bindings with equal scalars but different arrays must not share
-        artifacts.  The arrays are pinned (:meth:`cached_artifact`) so ids
-        stay unambiguous for the cache's lifetime.
-        """
-        return (freeze_scalars(params), freeze_arrays(params))
-
-    def cached_artifact(self, tag: str, params, builder: Callable[[], Any]):
-        """Build-once accessor for per-binding compiled artifacts.
-
-        The first call at a given ``(tag, warm_key)`` runs ``builder`` and
-        memoizes its result; later calls return it without recompiling.
-        ``params=None`` (symbolic/cost-only mode) bypasses the cache — a
-        ``None`` binding would collide with an empty concrete one.
-        """
-        if params is None:
-            return builder()
-        key = (tag,) + self.warm_key(params)
-        cached = self._warm_cache.get(key, _MISS)
-        if cached is not _MISS:
-            return cached
-        for name, value in (params or {}).items():
-            if not np.isscalar(value) and value is not None:
-                self._warm_pins.append(value)
-        artifact = builder()
-        self._warm_cache[key] = artifact
-        return artifact
-
     def use_factories(self, factories: KernelFactories) -> None:
         """Compile element functions through ``factories`` from now on."""
         self.factories = factories
 
-    def clear_warm_cache(self) -> None:
-        """Drop every memoized artifact (cold-start this plan)."""
-        self._warm_cache.clear()
-        self._warm_pins.clear()
-        self.factories.clear()
-
-    # -- warm-state persistence (artifact bundles) -------------------------
-    def export_permutations(self):
-        """Yield ``(size, frozen_scalars, perm)`` for every memoized
-        restructure permutation (bundle assembly).
-
-        Permutation keys are the only warm-cache entries with no
-        array-identity component, so they survive a round trip into a
-        fresh process; compiled-artifact entries (id-keyed) do not and
-        are rebuilt there by rehydrated source instead.
-        """
-        for key, perm in self._warm_cache.items():
-            if (len(key) == 3 and key[0] == "perm"
-                    and isinstance(key[1], int) and perm is not None):
-                yield key[1], key[2], perm
-
-    def inject_permutation(self, size: int, scalars, perm) -> None:
-        """Pre-seed one restructure permutation (bundle warm-state load).
-
-        Later :meth:`restructure_input` calls at this ``(size, scalars)``
-        hit the warm cache — zero permutation builds.
-        """
-        perm = np.ascontiguousarray(perm, dtype=np.intp)
-        self._warm_cache[("perm", int(size), tuple(scalars))] = perm
-
     # -- host-side staging -----------------------------------------------
-    def restructure_permutation(self, size: int,
-                                params) -> Optional[np.ndarray]:
-        """Gather indices staging an input into the plan's layout.
-
-        ``None`` means the canonical layout is already correct (no staging
-        work at all).  Subclasses with a non-trivial layout return the
-        index array ``perm`` such that ``staged = data[perm]`` — built once
-        per ``(size, scalar params)`` and memoized by
-        :meth:`restructure_input`.
-        """
-        return None
-
     def restructure_input(self, data: np.ndarray, params) -> np.ndarray:
         """Host-side staging into the plan's required layout.
 
-        Layout changes are expressed as memoized permutation index arrays
-        (:meth:`restructure_permutation`) applied with one fancy-index
-        gather, so a warm run never re-derives the layout arithmetic.
+        Returns a strided *view* of ``data`` whose C-order traversal is
+        the plan's layout; :meth:`Device.to_device` materializes it in
+        its one copy, so staging builds no index array and copies
+        nothing itself.  The canonical layout is ``data`` unchanged.
         """
-        data = np.asarray(data).reshape(-1)
-        key = ("perm", data.size, freeze_scalars(params))
-        perm = self._warm_cache.get(key, _MISS)
-        if perm is _MISS:
-            perm = self.restructure_permutation(data.size, params)
-            if perm is not None:
-                perm = np.ascontiguousarray(perm, dtype=np.intp)
-                RESTRUCTURE_COUNTER.perm_builds += 1
-            self._warm_cache[key] = perm
-        elif perm is not None:
-            RESTRUCTURE_COUNTER.perm_hits += 1
-        if perm is None:
-            return data
-        RESTRUCTURE_COUNTER.gathers += 1
-        return data[perm]
+        return np.asarray(data).reshape(-1)
 
     # -- code emission ----------------------------------------------------
     def cuda_source(self) -> str:
@@ -285,7 +191,8 @@ def first_use(builder: Callable[[], Any]) -> Callable[[], Any]:
 
     Kernel bodies use it for artifacts only one execution path reads —
     the REFERENCE oracle's scalar element functions — so the other paths
-    never bind (or compile) them.
+    never bind (or compile) them.  The value is immutable once built, so
+    a bound plan may be shared by threads (a race builds it twice).
     """
     box: List[Any] = []
 
@@ -294,18 +201,6 @@ def first_use(builder: Callable[[], Any]) -> Callable[[], Any]:
             box.append(builder())
         return box[0]
     return get
-
-
-def alloc_output(device: Device, plan: KernelPlan,
-                 params: Dict[str, float],
-                 dtype=np.float64) -> DeviceArray:
-    return device.alloc(plan.output_size(params), dtype=dtype,
-                        name=f"{plan.name}.out")
-
-
-def scalar_params(params: Dict[str, float]) -> Dict[str, float]:
-    """Strip array-valued entries; the model only consumes scalars."""
-    return {k: v for k, v in params.items() if np.isscalar(v)}
 
 
 def freeze_scalars(params) -> tuple:
@@ -322,7 +217,7 @@ def freeze_arrays(params) -> tuple:
     """Hashable identity projection of the non-scalar parameter entries.
 
     Complements :func:`freeze_scalars` for caches whose artifacts embed
-    auxiliary arrays (compiled element functions close over them): arrays
+    auxiliary arrays (bound element functions close over them): arrays
     are keyed by ``id()``, so the cache owner must pin the array objects to
     keep ids unambiguous.  ``None`` placeholders participate by identity
     too, which is stable and cheap.

@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ...gpu import Device, DeviceArray, GPUSpec
+from ...gpu import GPUSpec
 from ...ir import nodes as N
 from ...ir.interp import WorkInterpreter
 from ...perfmodel import PerformanceModel
@@ -22,7 +22,7 @@ from ...perfmodel.hostmodel import (HOST_MEM_BANDWIDTH_GBPS,
                                     HOST_VECTOR_OPS_PER_SECOND)
 from ..costing import count_dynamic
 from ..exprgen import compile_vector_fn
-from .base import (IN, KernelPlan, PlannedLaunch, expr_aux_loads, expr_ops)
+from .base import KernelPlan, PlannedLaunch, expr_aux_loads, expr_ops
 
 #: Sustained host throughput for interpreter-style scalar work, ops/second.
 CPU_OPS_PER_SECOND = 2.0e9
@@ -63,8 +63,11 @@ class CpuPlan(KernelPlan):
     def output_size(self, params) -> int:
         return self._invocations(params) * int(self._push(params))
 
-    def execute_host(self, data, params) -> np.ndarray:
-        invocations = self._invocations(params)
+    def bind_host(self, params):
+        return self._invocations(params), dict(params)
+
+    def execute_host(self, data, bound) -> np.ndarray:
+        invocations, params = bound
         tape = list(data)
         interp = WorkInterpreter(self.work, params, state=dict(self.state))
         outputs: List[float] = []
@@ -73,10 +76,6 @@ class CpuPlan(KernelPlan):
             out, cursor = interp.run(tape, cursor)
             outputs.extend(out)
         return np.asarray(outputs, dtype=np.float64)
-
-    def execute(self, device: Device, buffers, params) -> DeviceArray:
-        return device.alloc_from(self.execute_host(buffers[IN].data, params),
-                                 name=f"{self.name}.out")
 
     def cuda_source(self) -> str:
         return f"// {self.name}: executed on the host CPU\n"
@@ -135,43 +134,35 @@ class HostMapPlan(KernelPlan):
     def output_size(self, params) -> int:
         return self.shape.output_size(params)
 
-    def _compiled_vfns(self, params):
-        def build():
-            arrays = self.arrays_fn(params)
-            k = self.shape.pops_per_iter
-            arg_names = [f"_x{j}" for j in range(k)] + ["_i"]
-            vfns = [compile_vector_fn(o, arg_names, params,
-                                      name=f"vout{idx}", arrays=arrays,
-                                      factories=self.factories)
-                    for idx, o in enumerate(self.outputs)]
-            vgather = None
-            if self.gather is not None:
-                vgather = compile_vector_fn(self.gather, ["_i"], params,
-                                            name="vgather", arrays=arrays,
-                                            factories=self.factories)
-            return vfns, vgather
-        return self.cached_artifact("host_map_fns", params, build)
-
-    def execute_host(self, data, params) -> np.ndarray:
-        iterations = self.shape.iterations(params)
+    def bind_host(self, params):
+        arrays = self.arrays_fn(params)
         k = self.shape.pops_per_iter
-        m = self.shape.pushes_per_iter
-        vfns, vgather = self._compiled_vfns(params)
+        arg_names = [f"_x{j}" for j in range(k)] + ["_i"]
+        vfns = [compile_vector_fn(o, arg_names, params, name=f"vout{idx}",
+                                  arrays=arrays, factories=self.factories)
+                for idx, o in enumerate(self.outputs)]
+        vgather = None
+        if self.gather is not None:
+            vgather = compile_vector_fn(self.gather, ["_i"], params,
+                                        name="vgather", arrays=arrays,
+                                        factories=self.factories)
+        iterations = self.shape.iterations(params)
+        return iterations, k, self.shape.pushes_per_iter, vfns, vgather
+
+    def execute_host(self, data, bound) -> np.ndarray:
+        iterations, k, m, vfns, vgather = bound
         data = np.asarray(data, dtype=np.float64).reshape(-1)
-        out = np.empty(self.output_size(params), dtype=np.float64)
+        out = np.empty(iterations * m, dtype=np.float64)
         i = np.arange(iterations, dtype=np.int64)
         if vgather is not None:
             gidx = np.asarray(vgather(i)).astype(np.int64)
             vals = [data[gidx]]
         else:
-            vals = [data[i * k + j] for j in range(k)]
+            # Component j of every iteration is one strided slice.
+            vals = [data[j:iterations * k:k] for j in range(k)]
         for idx, vfn in enumerate(vfns):
-            out[i * m + idx] = vfn(*vals, i)
+            out[idx::m] = vfn(*vals, i)
         return out
-
-    def execute(self, device: Device, buffers, params) -> DeviceArray:
-        out = self.execute_host(buffers[IN].data, params)
-        return device.alloc_from(out, name=f"{self.name}.out")
 
     def cuda_source(self) -> str:
         return (f"// {self.name}: vectorized host map "

@@ -8,15 +8,15 @@ so *any* valid StreamIt program compiles and runs end to end.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
-from ...gpu import Device, DeviceArray, GPUSpec
+from ...gpu import GPUSpec
 from ...perfmodel import PerformanceModel
 from ...streamit import flatten, rate_match, run_graph
 from ..costing import count_dynamic
-from .base import IN, KernelPlan, PlannedLaunch
+from .base import KernelPlan, PlannedLaunch
 from .cpuplan import CPU_DISPATCH_SECONDS, CPU_OPS_PER_SECOND
 
 
@@ -35,12 +35,6 @@ class CpuGraphPlan(KernelPlan):
     # ------------------------------------------------------------------
     def _schedule(self, params):
         return rate_match(self.graph, params)
-
-    def _steady_states(self, params, input_len: int = None) -> int:
-        sched = self._schedule(params)
-        if input_len is None or sched.inputs_per_steady == 0:
-            return 1
-        return max(1, input_len // sched.inputs_per_steady)
 
     def expected_input_size(self, params) -> int:
         return self._schedule(params).inputs_per_steady
@@ -61,17 +55,16 @@ class CpuGraphPlan(KernelPlan):
             total_ops += per * sched.repetitions[node.id]
         return CPU_DISPATCH_SECONDS + total_ops / CPU_OPS_PER_SECOND
 
-    def execute_host(self, data, params) -> np.ndarray:
-        sched = self._schedule(params)
-        states = self._steady_states(params, len(data))
+    def bind_host(self, params):
+        return self._schedule(params), dict(params)
+
+    def execute_host(self, data, bound) -> np.ndarray:
+        sched, params = bound
+        states = (1 if sched.inputs_per_steady == 0
+                  else max(1, len(data) // sched.inputs_per_steady))
         output = run_graph(self.graph, sched, data, params,
                            steady_states=states)
         return np.asarray(output, dtype=np.float64)
-
-    def execute(self, device: Device, buffers: Dict[str, DeviceArray],
-                params) -> DeviceArray:
-        return device.alloc_from(self.execute_host(buffers[IN].data, params),
-                                 name=f"{self.name}.out")
 
     def cuda_source(self) -> str:
         return f"// {self.name}: subgraph executed on the host CPU\n"

@@ -25,7 +25,7 @@ from ...ir import nodes as N
 from ...ir.interp import WorkInterpreter
 from ...perfmodel import KernelWorkload
 from ..costing import count_dynamic
-from .base import (IN, LAYOUT_INTERLEAVED, LAYOUT_RESTRUCTURED, KernelPlan,
+from .base import (LAYOUT_INTERLEAVED, LAYOUT_RESTRUCTURED, KernelPlan,
                    PlannedLaunch)
 
 
@@ -93,9 +93,10 @@ class GenericActorPlan(KernelPlan):
     def output_size(self, params) -> int:
         return self.shape.invocations(params) * self.shape.push(params)
 
-    def restructure_permutation(self, size, params):
+    def restructure_input(self, data, params):
+        data = np.asarray(data).reshape(-1)
         if self.layout == LAYOUT_INTERLEAVED:
-            return None
+            return data
         inv = self.shape.invocations(params)
         peek = self.shape.peek(params)
         pop = self.shape.pop(params)
@@ -103,7 +104,7 @@ class GenericActorPlan(KernelPlan):
             raise ValueError(
                 f"{self.name}: cannot restructure with peek({peek}) != "
                 f"pop({pop}) — lookahead windows overlap")
-        return np.arange(inv * pop).reshape(inv, pop).T.reshape(-1)
+        return data[:inv * pop].reshape(inv, pop).T
 
     # ------------------------------------------------------------------
     def launches(self, params) -> List[PlannedLaunch]:
@@ -128,40 +129,42 @@ class GenericActorPlan(KernelPlan):
         return [PlannedLaunch(self.name, blocks, self.threads, workload)]
 
     # ------------------------------------------------------------------
-    def execute(self, device: Device, buffers, params) -> DeviceArray:
+    def bind(self, params):
         inv = self.shape.invocations(params)
         pop = self.shape.pop(params)
         peek = self.shape.peek(params)
         push = self.shape.push(params)
-        arrays = self.arrays_fn(params)
         env = dict(params)
-        env.update(arrays)
-        out = device.alloc(self.output_size(params), dtype=np.float64,
-                           name=f"{self.name}.out")
-        inbuf = buffers[IN]
+        env.update(self.arrays_fn(params))
+        size = self.output_size(params)
         restructured = self.layout == LAYOUT_RESTRUCTURED
+        window = peek if not restructured else pop
         work = self.work
-
-        def body(ctx):
-            t = ctx.global_tid
-            if t >= inv:
-                return
-            if restructured:
-                map_fn = lambda i: i * inv + t  # noqa: E731
-            else:
-                map_fn = lambda i: t * pop + i  # noqa: E731
-            window = peek if not restructured else pop
-            tape = _TapeView(ctx, inbuf, map_fn, window)
-            interp = WorkInterpreter(work, env)
-            outputs, _cursor = interp.run(tape, 0)
-            for j, value in enumerate(outputs):
-                ctx.gstore(out, t * push + j, value)
-
-        kernel = Kernel(f"{self.name}_generic", body, regs_per_thread=24)
         blocks = max(1, math.ceil(inv / self.threads))
-        device.launch(kernel, blocks, self.threads,
-                      {"in": inbuf, "out": out})
-        return out
+        threads = self.threads
+        name = self.name
+
+        def run(device: Device, inbuf: DeviceArray) -> DeviceArray:
+            out = device.alloc(size, dtype=np.float64, name=f"{name}.out")
+
+            def body(ctx):
+                t = ctx.global_tid
+                if t >= inv:
+                    return
+                if restructured:
+                    map_fn = lambda i: i * inv + t  # noqa: E731
+                else:
+                    map_fn = lambda i: t * pop + i  # noqa: E731
+                tape = _TapeView(ctx, inbuf, map_fn, window)
+                interp = WorkInterpreter(work, env)
+                outputs, _cursor = interp.run(tape, 0)
+                for j, value in enumerate(outputs):
+                    ctx.gstore(out, t * push + j, value)
+
+            kernel = Kernel(f"{name}_generic", body, regs_per_thread=24)
+            device.launch(kernel, blocks, threads, {"in": inbuf, "out": out})
+            return out
+        return run
 
     def cuda_source(self) -> str:
         return (f"// {self.name}: baseline thread-per-invocation kernel\n"
@@ -222,37 +225,39 @@ class FusedGenericPlan(KernelPlan):
             regs_per_thread=28, shared_per_block=0)
         return [PlannedLaunch(self.name, blocks, self.threads, workload)]
 
-    def execute(self, device: Device, buffers, params) -> DeviceArray:
+    def bind(self, params):
         inv = self.shape.invocations(params)
         pop = self.shape.pop(params)
         peek = self.shape.peek(params)
         push = self.shape.push(params)
-        arrays = self.arrays_fn(params)
         env = dict(params)
-        env.update(arrays)
-        out = device.alloc(self.output_size(params), dtype=np.float64,
-                           name=f"{self.name}.out")
-        inbuf = buffers[IN]
+        env.update(self.arrays_fn(params))
+        size = self.output_size(params)
         works = self.works
-
-        def body(ctx):
-            t = ctx.global_tid
-            if t >= inv:
-                return
-            tape = _TapeView(ctx, inbuf, lambda i: t * pop + i, peek)
-            values = tape
-            for work in works:
-                interp = WorkInterpreter(work, env)
-                outputs, _cursor = interp.run(values, 0)
-                values = outputs  # intermediate stays on-chip
-            for j, value in enumerate(values):
-                ctx.gstore(out, t * push + j, value)
-
-        kernel = Kernel(f"{self.name}_fused", body, regs_per_thread=28)
         blocks = max(1, math.ceil(inv / self.threads))
-        device.launch(kernel, blocks, self.threads,
-                      {"in": inbuf, "out": out})
-        return out
+        threads = self.threads
+        name = self.name
+
+        def run(device: Device, inbuf: DeviceArray) -> DeviceArray:
+            out = device.alloc(size, dtype=np.float64, name=f"{name}.out")
+
+            def body(ctx):
+                t = ctx.global_tid
+                if t >= inv:
+                    return
+                tape = _TapeView(ctx, inbuf, lambda i: t * pop + i, peek)
+                values = tape
+                for work in works:
+                    interp = WorkInterpreter(work, env)
+                    outputs, _cursor = interp.run(values, 0)
+                    values = outputs  # intermediate stays on-chip
+                for j, value in enumerate(values):
+                    ctx.gstore(out, t * push + j, value)
+
+            kernel = Kernel(f"{name}_fused", body, regs_per_thread=28)
+            device.launch(kernel, blocks, threads, {"in": inbuf, "out": out})
+            return out
+        return run
 
     def cuda_source(self) -> str:
         names = " -> ".join(w.name for w in self.works)

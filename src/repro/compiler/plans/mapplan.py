@@ -28,7 +28,7 @@ from ...ir import nodes as N
 from ...perfmodel import KernelWorkload
 from ..exprgen import (ChainStage, c_expr, compile_scalar_fn,
                        compile_vector_fn)
-from .base import (IN, LAYOUT_INTERLEAVED, LAYOUT_RESTRUCTURED, KernelPlan,
+from .base import (LAYOUT_INTERLEAVED, LAYOUT_RESTRUCTURED, KernelPlan,
                    PlannedLaunch, expr_aux_loads, expr_ops, first_use)
 
 
@@ -103,12 +103,12 @@ class MapPlan(KernelPlan):
     def output_size(self, params) -> int:
         return self.shape.output_size(params)
 
-    def restructure_permutation(self, size, params):
+    def restructure_input(self, data, params):
+        data = np.asarray(data).reshape(-1)
         if self.layout == LAYOUT_INTERLEAVED:
-            return None
-        k = self.shape.pops_per_iter
-        n = self.shape.iterations(params)
-        return np.arange(n * k).reshape(n, k).T.reshape(-1)
+            return data
+        # SoA: component j of every iteration, then component j + 1.
+        return data.reshape(-1, self.shape.pops_per_iter).T
 
     # ------------------------------------------------------------------
     def launches(self, params) -> List[PlannedLaunch]:
@@ -160,81 +160,79 @@ class MapPlan(KernelPlan):
     # ------------------------------------------------------------------
     def _element_fns(self, kind: str, params):
         """Output (and gather) functions of one emitter ``kind``, bound
-        once per binding."""
+        to ``params``."""
         compile_fn, tag = ((compile_scalar_fn, "")
                            if kind == "scalar" else (compile_vector_fn, "v"))
+        arrays = self.arrays_fn(params)
+        k = self.shape.pops_per_iter
+        arg_names = [f"_x{j}" for j in range(k)] + ["_i"]
+        fns = [compile_fn(o, arg_names, params, name=f"{tag}out{idx}",
+                          arrays=arrays, factories=self.factories)
+               for idx, o in enumerate(self.outputs)]
+        gather = None
+        if self.gather is not None:
+            gather = compile_fn(self.gather, ["_i"], params,
+                                name=f"{tag}gather", arrays=arrays,
+                                factories=self.factories)
+        return fns, gather
 
-        def build():
-            arrays = self.arrays_fn(params)
-            k = self.shape.pops_per_iter
-            arg_names = [f"_x{j}" for j in range(k)] + ["_i"]
-            fns = [compile_fn(o, arg_names, params, name=f"{tag}out{idx}",
-                              arrays=arrays, factories=self.factories)
-                   for idx, o in enumerate(self.outputs)]
-            gather = None
-            if self.gather is not None:
-                gather = compile_fn(self.gather, ["_i"], params,
-                                    name=f"{tag}gather", arrays=arrays,
-                                    factories=self.factories)
-            return fns, gather
-        return self.cached_artifact(f"map_fns_{kind}", params, build)
-
-    def execute(self, device: Device, buffers, params) -> DeviceArray:
+    def bind(self, params):
         iterations = self.shape.iterations(params)
         k = self.shape.pops_per_iter
         m = self.shape.pushes_per_iter
         scalar_fns = first_use(lambda: self._element_fns("scalar", params))
         vfns, vgather = self._element_fns("vector", params)
-        out = device.alloc(self.output_size(params), dtype=np.float64,
-                           name=f"{self.name}.out")
-        inbuf = buffers[IN]
+        size = self.output_size(params)
         blocks = self._grid(params)
-        total_threads = blocks * self.threads
+        threads = self.threads
+        total_threads = blocks * threads
         restructured = self.layout == LAYOUT_RESTRUCTURED
-
-        def body(ctx):
-            fns, gather_fn = scalar_fns()
-            i = ctx.global_tid
-            while i < iterations:
-                if gather_fn is not None:
-                    vals = [ctx.gload(inbuf, int(gather_fn(i)))]
-                elif restructured:
-                    vals = [ctx.gload(inbuf, j * iterations + i)
-                            for j in range(k)]
-                else:
-                    vals = [ctx.gload(inbuf, i * k + j) for j in range(k)]
-                for idx, fn in enumerate(fns):
-                    ctx.gstore(out, i * m + idx, fn(*vals, i))
-                i += total_threads
-
         steps = math.ceil(iterations / total_threads) if iterations else 0
+        name = self.name
 
-        def vector_body(ctx):
-            i0 = ctx.global_tid
-            for s in range(steps):
-                i = i0 + s * total_threads
-                mask = i < iterations
-                if not mask.any():
-                    break
-                safe_i = np.where(mask, i, 0)
-                if vgather is not None:
-                    gidx = np.asarray(vgather(safe_i)).astype(np.int64)
-                    vals = [ctx.gload(inbuf, gidx, mask)]
-                elif restructured:
-                    vals = [ctx.gload(inbuf, j * iterations + i, mask)
-                            for j in range(k)]
-                else:
-                    vals = [ctx.gload(inbuf, i * k + j, mask)
-                            for j in range(k)]
-                for idx, fn in enumerate(vfns):
-                    ctx.gstore(out, i * m + idx, fn(*vals, safe_i), mask)
+        def run(device: Device, inbuf: DeviceArray) -> DeviceArray:
+            out = device.alloc(size, dtype=np.float64, name=f"{name}.out")
 
-        kernel = Kernel(f"{self.name}_map", body,
-                        regs_per_thread=14 + 2 * k,
-                        vector_body=vector_body)
-        device.launch(kernel, blocks, self.threads,
-                      {"in": inbuf, "out": out})
-        return out
+            def body(ctx):
+                fns, gather_fn = scalar_fns()
+                i = ctx.global_tid
+                while i < iterations:
+                    if gather_fn is not None:
+                        vals = [ctx.gload(inbuf, int(gather_fn(i)))]
+                    elif restructured:
+                        vals = [ctx.gload(inbuf, j * iterations + i)
+                                for j in range(k)]
+                    else:
+                        vals = [ctx.gload(inbuf, i * k + j) for j in range(k)]
+                    for idx, fn in enumerate(fns):
+                        ctx.gstore(out, i * m + idx, fn(*vals, i))
+                    i += total_threads
+
+            def vector_body(ctx):
+                i0 = ctx.global_tid
+                for s in range(steps):
+                    i = i0 + s * total_threads
+                    mask = i < iterations
+                    if not mask.any():
+                        break
+                    safe_i = np.where(mask, i, 0)
+                    if vgather is not None:
+                        gidx = np.asarray(vgather(safe_i)).astype(np.int64)
+                        vals = [ctx.gload(inbuf, gidx, mask)]
+                    elif restructured:
+                        vals = [ctx.gload(inbuf, j * iterations + i, mask)
+                                for j in range(k)]
+                    else:
+                        vals = [ctx.gload(inbuf, i * k + j, mask)
+                                for j in range(k)]
+                    for idx, fn in enumerate(vfns):
+                        ctx.gstore(out, i * m + idx, fn(*vals, safe_i), mask)
+
+            kernel = Kernel(f"{name}_map", body, regs_per_thread=14 + 2 * k,
+                            vector_body=vector_body)
+            device.launch(kernel, blocks, threads, {"in": inbuf, "out": out})
+            return out
+        return run
 
     # ------------------------------------------------------------------
     def cuda_source(self) -> str:

@@ -21,7 +21,7 @@ import numpy as np
 from ...gpu import SYNC, Device, DeviceArray, GPUSpec, Kernel
 from ...perfmodel import KernelWorkload
 from ..reducers import Reducer
-from .base import IN, KernelPlan, PlannedLaunch
+from .base import KernelPlan, PlannedLaunch
 from .reduceplan import (LAYOUT_ROWS, ReduceShape, _index_fn, _select_state,
                          fold_lanes, fold_partials, lane_view,
                          store_outputs, tree_fold)
@@ -50,12 +50,8 @@ class HorizontalReducePlan(KernelPlan):
 
     # ------------------------------------------------------------------
     def _reducers(self, params) -> List[Reducer]:
-        # One warm-cache entry holds the whole reducer bank, bound through
-        # this plan's factory cache, so a warm run reuses all of them.
-        return self.cached_artifact(
-            "reducers", params,
-            lambda: [fn(params).bind(self.factories)
-                     for fn in self.reducer_fns])
+        # The whole reducer bank, bound through this plan's factory cache.
+        return [fn(params).bind(self.factories) for fn in self.reducer_fns]
 
     def output_size(self, params) -> int:
         per_array = sum(c.outputs_per_array for c in self.costs)
@@ -117,20 +113,27 @@ class HorizontalReducePlan(KernelPlan):
         ]
 
     # ------------------------------------------------------------------
-    def execute(self, device: Device, buffers, params) -> DeviceArray:
+    def bind(self, params):
         narrays = self.shape.narrays(params)
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
+        layout = self.layout
         reducers = self._reducers(params)
-        addr = _index_fn(self.layout, narrays, length, k)
+        addr = _index_fn(layout, narrays, length, k)
         threads = self.threads
         tree_steps = int(math.log2(threads))
         per_array = sum(r.outputs_per_array for r in reducers)
-        out = device.alloc(narrays * per_array, dtype=np.float64,
-                           name=f"{self.name}.out")
-        inbuf = buffers[IN]
         widths = [r.state_width for r in reducers]
         Q = len(reducers)
+        two_kernel = self.two_kernel
+        nblocks = self.initial_blocks(params) if two_kernel else 1
+        chunk = math.ceil(length / nblocks)
+        total_width = sum(widths)
+        single_steps = math.ceil(length / threads) if length else 0
+        acc_steps = math.ceil(chunk / threads) if chunk else 0
+        merge_steps = math.ceil(nblocks / threads)
+        bounds = np.cumsum([0] + widths)
+        name = self.name
 
         def slot(q: int, w: int) -> str:
             return f"s{q}_{w}"
@@ -138,279 +141,278 @@ class HorizontalReducePlan(KernelPlan):
         shared = {slot(q, w): (threads, np.float64)
                   for q in range(Q) for w in range(widths[q])}
 
-        def reduce_block(ctx, r, lo, hi, write_partial=None):
-            """Strided read + tree reduction for all reducers at once."""
-            states = [red.identity() for red in reducers]
-            i = lo + ctx.tx
-            while i < hi:
-                vals = [ctx.gload(inbuf, addr(r, i, j)) for j in range(k)]
-                for q, red in enumerate(reducers):
-                    states[q] = red.combine(states[q], red.element(vals, i))
-                i += threads
-            for q in range(Q):
-                for w in range(widths[q]):
-                    ctx.sstore(slot(q, w), ctx.tx, states[q][w])
-            yield SYNC
-            active = threads // 2
-            for _step in range(tree_steps):
-                if ctx.tx < active:
+        def run(device: Device, inbuf: DeviceArray) -> DeviceArray:
+            out = device.alloc(narrays * per_array, dtype=np.float64,
+                               name=f"{name}.out")
+
+            def reduce_block(ctx, r, lo, hi, write_partial=None):
+                """Strided read + tree reduction for all reducers at once."""
+                states = [red.identity() for red in reducers]
+                i = lo + ctx.tx
+                while i < hi:
+                    vals = [ctx.gload(inbuf, addr(r, i, j)) for j in range(k)]
                     for q, red in enumerate(reducers):
-                        a = tuple(ctx.sload(slot(q, w), ctx.tx)
-                                  for w in range(widths[q]))
-                        b = tuple(ctx.sload(slot(q, w), ctx.tx + active)
-                                  for w in range(widths[q]))
-                        merged = red.combine(a, b)
-                        for w in range(widths[q]):
-                            ctx.sstore(slot(q, w), ctx.tx, merged[w])
+                        states[q] = red.combine(states[q],
+                                                red.element(vals, i))
+                    i += threads
+                for q in range(Q):
+                    for w in range(widths[q]):
+                        ctx.sstore(slot(q, w), ctx.tx, states[q][w])
                 yield SYNC
-                active //= 2
-            if ctx.tx == 0:
-                finals = [tuple(ctx.sload(slot(q, w), 0)
+                active = threads // 2
+                for _step in range(tree_steps):
+                    if ctx.tx < active:
+                        for q, red in enumerate(reducers):
+                            a = tuple(ctx.sload(slot(q, w), ctx.tx)
+                                      for w in range(widths[q]))
+                            b = tuple(ctx.sload(slot(q, w), ctx.tx + active)
+                                      for w in range(widths[q]))
+                            merged = red.combine(a, b)
+                            for w in range(widths[q]):
+                                ctx.sstore(slot(q, w), ctx.tx, merged[w])
+                    yield SYNC
+                    active //= 2
+                if ctx.tx == 0:
+                    finals = [tuple(ctx.sload(slot(q, w), 0)
+                                    for w in range(widths[q]))
+                              for q in range(Q)]
+                    if write_partial is not None:
+                        write_partial(finals)
+                    else:
+                        offset = 0
+                        for q, red in enumerate(reducers):
+                            for value in red.epilogue(finals[q]):
+                                ctx.gstore(out, r * per_array + offset, value)
+                                offset += 1
+
+            def vreduce_block(ctx, r, lo, hi, steps, write_partial=None):
+                """Vector mirror of ``reduce_block`` (same per-lane
+                sequences)."""
+                tx = ctx.tx
+                states = [red.videntity(ctx.shape) for red in reducers]
+                for s in range(steps):
+                    i = lo + tx + s * threads
+                    m = i < hi
+                    if not np.any(m):
+                        break
+                    vals = [ctx.gload(inbuf, addr(r, i, j), m)
+                            for j in range(k)]
+                    safe_i = np.where(m, i, 0)
+                    for q, red in enumerate(reducers):
+                        states[q] = _select_state(
+                            m,
+                            red.vcombine(states[q],
+                                         red.velement(vals, safe_i)),
+                            states[q])
+                for q in range(Q):
+                    for w in range(widths[q]):
+                        ctx.sstore(slot(q, w), tx, states[q][w])
+                ctx.sync()
+                active = threads // 2
+                for _step in range(tree_steps):
+                    m = tx < active
+                    for q, red in enumerate(reducers):
+                        a = tuple(ctx.sload(slot(q, w), tx, m)
+                                  for w in range(widths[q]))
+                        b = tuple(ctx.sload(slot(q, w), tx + active, m)
+                                  for w in range(widths[q]))
+                        merged = red.vcombine(a, b)
+                        for w in range(widths[q]):
+                            ctx.sstore(slot(q, w), tx, merged[w], m)
+                    ctx.sync()
+                    active //= 2
+                m0 = tx == 0
+                finals = [tuple(ctx.sload(slot(q, w), 0, m0)
                                 for w in range(widths[q]))
                           for q in range(Q)]
                 if write_partial is not None:
-                    write_partial(finals)
+                    write_partial(finals, m0)
                 else:
                     offset = 0
                     for q, red in enumerate(reducers):
-                        for value in red.epilogue(finals[q]):
+                        for value in red.vepilogue(finals[q]):
+                            ctx.gstore(out, r * per_array + offset, value, m0)
+                            offset += 1
+
+            def store_all(finals):
+                offset = 0
+                for red, final in zip(reducers, finals):
+                    values = red.vepilogue(final)
+                    store_outputs(out, values, per_array, offset)
+                    offset += len(values)
+
+            if not two_kernel:
+                def body(ctx):
+                    yield from reduce_block(ctx, ctx.bx, 0, length)
+
+                def vector_body(ctx):
+                    vreduce_block(ctx, ctx.bx, 0, length, single_steps)
+
+                def direct_body():
+                    view = lane_view(inbuf.data, layout, narrays, length,
+                                     k)
+                    states = fold_lanes(reducers, view, 1, length, threads)
+                    store_all([tuple(f[:, 0] for f in tree_fold(red, state))
+                               for red, state in zip(reducers, states)])
+
+                device.launch(Kernel(f"{name}_h", body, 18, shared,
+                                     vector_body=vector_body,
+                                     direct_body=direct_body),
+                              narrays, threads, {"in": inbuf, "out": out})
+                return out
+
+            partials = device.alloc(narrays * nblocks * total_width,
+                                    dtype=np.float64,
+                                    name=f"{name}.partials")
+
+            def initial_body(ctx):
+                r, c = divmod(ctx.bx, nblocks)
+                lo = c * chunk
+                hi = min(length, lo + chunk)
+
+                def write(finals):
+                    offset = 0
+                    for q in range(Q):
+                        for w in range(widths[q]):
+                            ctx.gstore(
+                                partials,
+                                ((offset + w) * narrays + r) * nblocks + c,
+                                finals[q][w])
+                        offset += widths[q]
+
+                yield from reduce_block(ctx, r, lo, hi, write_partial=write)
+
+            def merge_body(ctx):
+                r = ctx.bx
+                states = [red.identity() for red in reducers]
+                c = ctx.tx
+                while c < nblocks:
+                    offset = 0
+                    for q, red in enumerate(reducers):
+                        part = tuple(
+                            ctx.gload(partials, ((offset + w) * narrays + r)
+                                      * nblocks + c)
+                            for w in range(widths[q]))
+                        states[q] = red.combine(states[q], part)
+                        offset += widths[q]
+                    c += threads
+                for q in range(Q):
+                    for w in range(widths[q]):
+                        ctx.sstore(slot(q, w), ctx.tx, states[q][w])
+                yield SYNC
+                active = threads // 2
+                for _step in range(tree_steps):
+                    if ctx.tx < active:
+                        for q, red in enumerate(reducers):
+                            a = tuple(ctx.sload(slot(q, w), ctx.tx)
+                                      for w in range(widths[q]))
+                            b = tuple(ctx.sload(slot(q, w), ctx.tx + active)
+                                      for w in range(widths[q]))
+                            merged = red.combine(a, b)
+                            for w in range(widths[q]):
+                                ctx.sstore(slot(q, w), ctx.tx, merged[w])
+                    yield SYNC
+                    active //= 2
+                if ctx.tx == 0:
+                    offset = 0
+                    for q, red in enumerate(reducers):
+                        final = tuple(ctx.sload(slot(q, w), 0)
+                                      for w in range(widths[q]))
+                        for value in red.epilogue(final):
                             ctx.gstore(out, r * per_array + offset, value)
                             offset += 1
 
-        def vreduce_block(ctx, r, lo, hi, steps, write_partial=None):
-            """Vector mirror of ``reduce_block`` (same per-lane sequences)."""
-            tx = ctx.tx
-            states = [red.videntity(ctx.shape) for red in reducers]
-            for s in range(steps):
-                i = lo + tx + s * threads
-                m = i < hi
-                if not np.any(m):
-                    break
-                vals = [ctx.gload(inbuf, addr(r, i, j), m)
-                        for j in range(k)]
-                safe_i = np.where(m, i, 0)
-                for q, red in enumerate(reducers):
-                    states[q] = _select_state(
-                        m,
-                        red.vcombine(states[q], red.velement(vals, safe_i)),
-                        states[q])
-            for q in range(Q):
-                for w in range(widths[q]):
-                    ctx.sstore(slot(q, w), tx, states[q][w])
-            ctx.sync()
-            active = threads // 2
-            for _step in range(tree_steps):
-                m = tx < active
-                for q, red in enumerate(reducers):
-                    a = tuple(ctx.sload(slot(q, w), tx, m)
-                              for w in range(widths[q]))
-                    b = tuple(ctx.sload(slot(q, w), tx + active, m)
-                              for w in range(widths[q]))
-                    merged = red.vcombine(a, b)
-                    for w in range(widths[q]):
-                        ctx.sstore(slot(q, w), tx, merged[w], m)
-                ctx.sync()
-                active //= 2
-            m0 = tx == 0
-            finals = [tuple(ctx.sload(slot(q, w), 0, m0)
+            def initial_vector(ctx):
+                r = ctx.bx // nblocks
+                c = ctx.bx % nblocks
+                lo = c * chunk
+                hi = np.minimum(length, lo + chunk)
+
+                def write(finals, m0):
+                    offset = 0
+                    for q in range(Q):
+                        for w in range(widths[q]):
+                            ctx.gstore(
+                                partials,
+                                ((offset + w) * narrays + r) * nblocks + c,
+                                finals[q][w], m0)
+                        offset += widths[q]
+
+                vreduce_block(ctx, r, lo, hi, acc_steps, write_partial=write)
+
+            def merge_vector(ctx):
+                tx = ctx.tx
+                r = ctx.bx
+                states = [red.videntity(ctx.shape) for red in reducers]
+                for s in range(merge_steps):
+                    c = tx + s * threads
+                    m = c < nblocks
+                    if not np.any(m):
+                        break
+                    offset = 0
+                    for q, red in enumerate(reducers):
+                        part = tuple(
+                            ctx.gload(partials,
+                                      ((offset + w) * narrays + r)
+                                      * nblocks + c, m)
                             for w in range(widths[q]))
-                      for q in range(Q)]
-            if write_partial is not None:
-                write_partial(finals, m0)
-            else:
+                        states[q] = _select_state(
+                            m, red.vcombine(states[q], part), states[q])
+                        offset += widths[q]
+                for q in range(Q):
+                    for w in range(widths[q]):
+                        ctx.sstore(slot(q, w), tx, states[q][w])
+                ctx.sync()
+                active = threads // 2
+                for _step in range(tree_steps):
+                    m = tx < active
+                    for q, red in enumerate(reducers):
+                        a = tuple(ctx.sload(slot(q, w), tx, m)
+                                  for w in range(widths[q]))
+                        b = tuple(ctx.sload(slot(q, w), tx + active, m)
+                                  for w in range(widths[q]))
+                        merged = red.vcombine(a, b)
+                        for w in range(widths[q]):
+                            ctx.sstore(slot(q, w), tx, merged[w], m)
+                    ctx.sync()
+                    active //= 2
+                m0 = tx == 0
                 offset = 0
                 for q, red in enumerate(reducers):
-                    for value in red.vepilogue(finals[q]):
+                    final = tuple(ctx.sload(slot(q, w), 0, m0)
+                                  for w in range(widths[q]))
+                    for value in red.vepilogue(final):
                         ctx.gstore(out, r * per_array + offset, value, m0)
                         offset += 1
 
-        def store_all(finals):
-            offset = 0
-            for red, final in zip(reducers, finals):
-                values = red.vepilogue(final)
-                store_outputs(out, values, per_array, offset)
-                offset += len(values)
+            # Per-reducer (width, narrays, nblocks) views of the partials.
+            flat = partials.data.reshape(total_width, narrays, nblocks)
+            parts = [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
-        if not self.two_kernel:
-            def body(ctx):
-                yield from reduce_block(ctx, ctx.bx, 0, length)
+            def initial_direct():
+                view = lane_view(inbuf.data, layout, narrays, length, k)
+                states = fold_lanes(reducers, view, nblocks, chunk, threads)
+                for red, state, part in zip(reducers, states, parts):
+                    part[:] = tree_fold(red, state)
 
-            single_steps = math.ceil(length / threads) if length else 0
+            def merge_direct():
+                store_all([tree_fold(red, fold_partials(red, tuple(part),
+                                                        threads))
+                           for red, part in zip(reducers, parts)])
 
-            def vector_body(ctx):
-                vreduce_block(ctx, ctx.bx, 0, length, single_steps)
-
-            def direct_body():
-                view = lane_view(inbuf.data, self.layout, narrays, length,
-                                 k)
-                states = fold_lanes(reducers, view, 1, length, threads)
-                store_all([tuple(f[:, 0] for f in tree_fold(red, state))
-                           for red, state in zip(reducers, states)])
-
-            device.launch(Kernel(f"{self.name}_h", body, 18, shared,
-                                 vector_body=vector_body,
-                                 direct_body=direct_body),
-                          narrays, threads, {"in": inbuf, "out": out})
+            # As in ReduceTwoKernelPlan: every written buffer is a launch arg,
+            # so launch-scope NaN faults reach the output.
+            device.launch(Kernel(f"{name}_h_initial", initial_body, 20,
+                                 shared, vector_body=initial_vector,
+                                 direct_body=initial_direct),
+                          narrays * nblocks, threads,
+                          {"in": inbuf, "partials": partials})
+            device.launch(Kernel(f"{name}_h_merge", merge_body, 16, shared,
+                                 vector_body=merge_vector,
+                                 direct_body=merge_direct),
+                          narrays, threads, {"partials": partials, "out": out})
             return out
-
-        nblocks = self.initial_blocks(params)
-        chunk = math.ceil(length / nblocks)
-        total_width = sum(widths)
-        partials = device.alloc(narrays * nblocks * total_width,
-                                dtype=np.float64,
-                                name=f"{self.name}.partials")
-
-        def initial_body(ctx):
-            r, c = divmod(ctx.bx, nblocks)
-            lo = c * chunk
-            hi = min(length, lo + chunk)
-
-            def write(finals):
-                offset = 0
-                for q in range(Q):
-                    for w in range(widths[q]):
-                        ctx.gstore(
-                            partials,
-                            ((offset + w) * narrays + r) * nblocks + c,
-                            finals[q][w])
-                    offset += widths[q]
-
-            yield from reduce_block(ctx, r, lo, hi, write_partial=write)
-
-        def merge_body(ctx):
-            r = ctx.bx
-            states = [red.identity() for red in reducers]
-            c = ctx.tx
-            while c < nblocks:
-                offset = 0
-                for q, red in enumerate(reducers):
-                    part = tuple(
-                        ctx.gload(partials,
-                                  ((offset + w) * narrays + r) * nblocks + c)
-                        for w in range(widths[q]))
-                    states[q] = red.combine(states[q], part)
-                    offset += widths[q]
-                c += threads
-            for q in range(Q):
-                for w in range(widths[q]):
-                    ctx.sstore(slot(q, w), ctx.tx, states[q][w])
-            yield SYNC
-            active = threads // 2
-            for _step in range(tree_steps):
-                if ctx.tx < active:
-                    for q, red in enumerate(reducers):
-                        a = tuple(ctx.sload(slot(q, w), ctx.tx)
-                                  for w in range(widths[q]))
-                        b = tuple(ctx.sload(slot(q, w), ctx.tx + active)
-                                  for w in range(widths[q]))
-                        merged = red.combine(a, b)
-                        for w in range(widths[q]):
-                            ctx.sstore(slot(q, w), ctx.tx, merged[w])
-                yield SYNC
-                active //= 2
-            if ctx.tx == 0:
-                offset = 0
-                for q, red in enumerate(reducers):
-                    final = tuple(ctx.sload(slot(q, w), 0)
-                                  for w in range(widths[q]))
-                    for value in red.epilogue(final):
-                        ctx.gstore(out, r * per_array + offset, value)
-                        offset += 1
-
-        acc_steps = math.ceil(chunk / threads) if chunk else 0
-        merge_steps = math.ceil(nblocks / threads)
-
-        def initial_vector(ctx):
-            r = ctx.bx // nblocks
-            c = ctx.bx % nblocks
-            lo = c * chunk
-            hi = np.minimum(length, lo + chunk)
-
-            def write(finals, m0):
-                offset = 0
-                for q in range(Q):
-                    for w in range(widths[q]):
-                        ctx.gstore(
-                            partials,
-                            ((offset + w) * narrays + r) * nblocks + c,
-                            finals[q][w], m0)
-                    offset += widths[q]
-
-            vreduce_block(ctx, r, lo, hi, acc_steps, write_partial=write)
-
-        def merge_vector(ctx):
-            tx = ctx.tx
-            r = ctx.bx
-            states = [red.videntity(ctx.shape) for red in reducers]
-            for s in range(merge_steps):
-                c = tx + s * threads
-                m = c < nblocks
-                if not np.any(m):
-                    break
-                offset = 0
-                for q, red in enumerate(reducers):
-                    part = tuple(
-                        ctx.gload(partials,
-                                  ((offset + w) * narrays + r) * nblocks + c,
-                                  m)
-                        for w in range(widths[q]))
-                    states[q] = _select_state(
-                        m, red.vcombine(states[q], part), states[q])
-                    offset += widths[q]
-            for q in range(Q):
-                for w in range(widths[q]):
-                    ctx.sstore(slot(q, w), tx, states[q][w])
-            ctx.sync()
-            active = threads // 2
-            for _step in range(tree_steps):
-                m = tx < active
-                for q, red in enumerate(reducers):
-                    a = tuple(ctx.sload(slot(q, w), tx, m)
-                              for w in range(widths[q]))
-                    b = tuple(ctx.sload(slot(q, w), tx + active, m)
-                              for w in range(widths[q]))
-                    merged = red.vcombine(a, b)
-                    for w in range(widths[q]):
-                        ctx.sstore(slot(q, w), tx, merged[w], m)
-                ctx.sync()
-                active //= 2
-            m0 = tx == 0
-            offset = 0
-            for q, red in enumerate(reducers):
-                final = tuple(ctx.sload(slot(q, w), 0, m0)
-                              for w in range(widths[q]))
-                for value in red.vepilogue(final):
-                    ctx.gstore(out, r * per_array + offset, value, m0)
-                    offset += 1
-
-        # Per-reducer (width, narrays, nblocks) views of the partials.
-        flat = partials.data.reshape(total_width, narrays, nblocks)
-        bounds = np.cumsum([0] + widths)
-        parts = [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-        def initial_direct():
-            view = lane_view(inbuf.data, self.layout, narrays, length, k)
-            states = fold_lanes(reducers, view, nblocks, chunk, threads)
-            for red, state, part in zip(reducers, states, parts):
-                part[:] = tree_fold(red, state)
-
-        def merge_direct():
-            store_all([tree_fold(red, fold_partials(red, tuple(part),
-                                                    threads))
-                       for red, part in zip(reducers, parts)])
-
-        # As in ReduceTwoKernelPlan: every written buffer is a launch arg,
-        # so launch-scope NaN faults reach the output.
-        device.launch(Kernel(f"{self.name}_h_initial", initial_body, 20,
-                             shared, vector_body=initial_vector,
-                             direct_body=initial_direct),
-                      narrays * nblocks, threads,
-                      {"in": inbuf, "partials": partials})
-        device.launch(Kernel(f"{self.name}_h_merge", merge_body, 16, shared,
-                             vector_body=merge_vector,
-                             direct_body=merge_direct),
-                      narrays, threads, {"partials": partials, "out": out})
-        return out
+        return run
 
     def cuda_source(self) -> str:
         return (f"// {self.name}: horizontally integrated reduction over "
@@ -444,11 +446,6 @@ class SeparateReducePlan(KernelPlan):
         for plan in self.branch_plans:
             plan.use_factories(factories)
 
-    def clear_warm_cache(self) -> None:
-        super().clear_warm_cache()
-        for plan in self.branch_plans:
-            plan.clear_warm_cache()
-
     def launches(self, params) -> List[PlannedLaunch]:
         out: List[PlannedLaunch] = []
         for plan in self.branch_plans:
@@ -462,20 +459,25 @@ class SeparateReducePlan(KernelPlan):
     def output_size(self, params) -> int:
         return int(self._narrays(params)) * sum(self.outputs_per_branch)
 
-    def execute(self, device: Device, buffers, params) -> DeviceArray:
+    def bind(self, params):
         narrays = int(self._narrays(params))
-        branch_outputs = [plan.execute(device, buffers, params)
-                          for plan in self.branch_plans]
-        per_array = sum(self.outputs_per_branch)
-        combined = np.empty(narrays * per_array, dtype=np.float64)
-        for r in range(narrays):
-            offset = 0
-            for out, width in zip(branch_outputs, self.outputs_per_branch):
-                combined[r * per_array + offset:
-                         r * per_array + offset + width] = \
-                    out.data[r * width:(r + 1) * width]
-                offset += width
-        return device.alloc_from(combined, name=f"{self.name}.out")
+        branches = [plan.bind(params) for plan in self.branch_plans]
+        widths = self.outputs_per_branch
+        per_array = sum(widths)
+        name = f"{self.name}.out"
+
+        def run(device: Device, inbuf: DeviceArray) -> DeviceArray:
+            branch_outputs = [branch(device, inbuf) for branch in branches]
+            combined = np.empty(narrays * per_array, dtype=np.float64)
+            for r in range(narrays):
+                offset = 0
+                for out, width in zip(branch_outputs, widths):
+                    combined[r * per_array + offset:
+                             r * per_array + offset + width] = \
+                        out.data[r * width:(r + 1) * width]
+                    offset += width
+            return device.alloc_from(combined, name=name)
+        return run
 
     def cuda_source(self) -> str:
         return "".join(plan.cuda_source() for plan in self.branch_plans)

@@ -30,7 +30,7 @@ import numpy as np
 from ...gpu import SYNC, Device, DeviceArray, GPUSpec, Kernel
 from ...perfmodel import KernelWorkload
 from ..reducers import Reducer
-from .base import IN, KernelPlan, PlannedLaunch, freeze_scalars
+from .base import KernelPlan, PlannedLaunch, freeze_scalars
 
 #: Input layouts understood by reduction plans.
 LAYOUT_ROWS = "rows"            # canonical: array r contiguous, iterations AoS
@@ -194,20 +194,26 @@ def store_outputs(out: DeviceArray, values, per_array: int,
         rows[:, offset + m] = value
 
 
-def restructure_host(data: np.ndarray, layout: str, shape: ReduceShape,
-                     params) -> np.ndarray:
-    """CPU-side memory restructuring (§4.1.1) into the plan's layout."""
-    narrays = shape.narrays(params)
-    length = shape.nelements(params)
-    k = shape.pops_per_iter
+def layout_view(data: np.ndarray, layout: str, narrays: int, length: int,
+                k: int) -> np.ndarray:
+    """Strided view of a canonical (rows) input whose C-order traversal
+    is ``layout`` (§4.1.1's memory restructuring, without a copy)."""
     data = np.asarray(data).reshape(narrays, length, k)
     if layout == LAYOUT_ROWS:
         return data.reshape(-1)
     if layout == LAYOUT_ROW_SOA:
-        return data.transpose(0, 2, 1).reshape(-1)
+        return data.transpose(0, 2, 1)
     if layout == LAYOUT_TRANSPOSED:
-        return data.reshape(narrays, length * k).T.reshape(-1)
+        return data.reshape(narrays, length * k).T
     raise ValueError(f"unknown reduction layout {layout!r}")
+
+
+def restructure_host(data: np.ndarray, layout: str, shape: ReduceShape,
+                     params) -> np.ndarray:
+    """CPU-side memory restructuring (§4.1.1) into the plan's layout."""
+    return layout_view(data, layout, shape.narrays(params),
+                       shape.nelements(params),
+                       shape.pops_per_iter).reshape(-1)
 
 
 class _ReducePlanBase(KernelPlan):
@@ -228,26 +234,18 @@ class _ReducePlanBase(KernelPlan):
         self.costs = reducer_fn(None).costs()
 
     def _reducer(self, params):
-        """Reducer for this binding, bound once and reused warm.
-
-        Its element/epilogue functions bind through this plan's factory
-        cache (shared by its program), so each expression compiles once
-        and a new binding only binds.  The per-plan artifact cache keys
-        on scalars *and* auxiliary-array identity, so bindings that carry
-        different const arrays never share a reducer.
-        """
-        return self.cached_artifact(
-            "reducer", params,
-            lambda: self.reducer_fn(params).bind(self.factories))
+        """Reducer bound to ``params``: its element/epilogue functions
+        bind through this plan's factory cache (shared by its program),
+        so each expression compiles once and a new binding only binds."""
+        return self.reducer_fn(params).bind(self.factories)
 
     def output_size(self, params) -> int:
         return self.shape.narrays(params) * self.costs.outputs_per_array
 
-    def restructure_permutation(self, size, params):
-        if self.layout == LAYOUT_ROWS:
-            return None
-        return restructure_host(np.arange(size), self.layout, self.shape,
-                                params)
+    def restructure_input(self, data, params):
+        return layout_view(data, self.layout, self.shape.narrays(params),
+                           self.shape.nelements(params),
+                           self.shape.pops_per_iter)
 
     # -- workload helpers -------------------------------------------------
     def _mem_split(self, requests: float):
@@ -306,111 +304,113 @@ class ReduceSingleKernelPlan(_ReducePlanBase):
         return [PlannedLaunch(self.name, blocks, self.threads, workload)]
 
     # -- execution ----------------------------------------------------------
-    def execute(self, device: Device, buffers, params) -> DeviceArray:
+    def bind(self, params):
         narrays = self.shape.narrays(params)
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
+        layout = self.layout
         reducer = self._reducer(params)
-        addr = _index_fn(self.layout, narrays, length, k)
-        out = device.alloc(narrays * reducer.outputs_per_array,
-                           dtype=np.float64, name=f"{self.name}.out")
+        addr = _index_fn(layout, narrays, length, k)
         threads = self.threads
         rows_per_block = self.rows_per_block
         width = reducer.state_width
         out_w = reducer.outputs_per_array
         tree_steps = int(math.log2(threads))
-        inbuf = buffers[IN]
-
-        def body(ctx):
-            for rr in range(rows_per_block):
-                r = ctx.bx * rows_per_block + rr
-                in_range = r < narrays
-                if in_range:
-                    state = reducer.identity()
-                    i = ctx.tx
-                    while i < length:
-                        vals = [ctx.gload(inbuf, addr(r, i, j))
-                                for j in range(k)]
-                        state = reducer.combine(state,
-                                                reducer.element(vals, i))
-                        i += threads
-                    for w in range(width):
-                        ctx.sstore(f"s{w}", ctx.tx, state[w])
-                yield SYNC
-                active = threads // 2
-                for _step in range(tree_steps):
-                    if in_range and ctx.tx < active:
-                        a = tuple(ctx.sload(f"s{w}", ctx.tx)
-                                  for w in range(width))
-                        b = tuple(ctx.sload(f"s{w}", ctx.tx + active)
-                                  for w in range(width))
-                        merged = reducer.combine(a, b)
-                        for w in range(width):
-                            ctx.sstore(f"s{w}", ctx.tx, merged[w])
-                    yield SYNC
-                    active //= 2
-                if in_range and ctx.tx == 0:
-                    final = tuple(ctx.sload(f"s{w}", 0)
-                                  for w in range(width))
-                    for m, value in enumerate(reducer.epilogue(final)):
-                        ctx.gstore(out, r * out_w + m, value)
-
         acc_steps = math.ceil(length / threads) if length else 0
-
-        def vector_body(ctx):
-            tx = ctx.tx
-            for rr in range(rows_per_block):
-                r = ctx.bx * rows_per_block + rr
-                in_range = np.broadcast_to(r < narrays, ctx.shape)
-                state = reducer.videntity(ctx.shape)
-                for s in range(acc_steps):
-                    i = tx + s * threads
-                    m = in_range & (i < length)
-                    if not m.any():
-                        break
-                    vals = [ctx.gload(inbuf, addr(r, i, j), m)
-                            for j in range(k)]
-                    safe_i = np.where(m, i, 0)
-                    state = _select_state(
-                        m,
-                        reducer.vcombine(state,
-                                         reducer.velement(vals, safe_i)),
-                        state)
-                for w in range(width):
-                    ctx.sstore(f"s{w}", tx, state[w], in_range)
-                ctx.sync()
-                active = threads // 2
-                for _step in range(tree_steps):
-                    m = in_range & (tx < active)
-                    a = tuple(ctx.sload(f"s{w}", tx, m)
-                              for w in range(width))
-                    b = tuple(ctx.sload(f"s{w}", tx + active, m)
-                              for w in range(width))
-                    merged = reducer.vcombine(a, b)
-                    for w in range(width):
-                        ctx.sstore(f"s{w}", tx, merged[w], m)
-                    ctx.sync()
-                    active //= 2
-                m0 = in_range & (tx == 0)
-                final = tuple(ctx.sload(f"s{w}", 0, m0)
-                              for w in range(width))
-                for m_out, value in enumerate(reducer.vepilogue(final)):
-                    ctx.gstore(out, r * out_w + m_out, value, m0)
-
-        def direct_body():
-            view = lane_view(inbuf.data, self.layout, narrays, length, k)
-            (state,) = fold_lanes([reducer], view, 1, length, threads)
-            final = tuple(f[:, 0] for f in tree_fold(reducer, state))
-            store_outputs(out, reducer.vepilogue(final), out_w)
-
-        kernel = Kernel(
-            f"{self.name}_single", body, regs_per_thread=18,
-            shared_spec={f"s{w}": (threads, np.float64)
-                         for w in range(width)},
-            vector_body=vector_body, direct_body=direct_body)
         blocks = max(1, math.ceil(narrays / rows_per_block))
-        device.launch(kernel, blocks, threads, {"in": inbuf, "out": out})
-        return out
+        shared = {f"s{w}": (threads, np.float64) for w in range(width)}
+        name = self.name
+
+        def run(device: Device, inbuf: DeviceArray) -> DeviceArray:
+            out = device.alloc(narrays * out_w, dtype=np.float64,
+                               name=f"{name}.out")
+
+            def body(ctx):
+                for rr in range(rows_per_block):
+                    r = ctx.bx * rows_per_block + rr
+                    in_range = r < narrays
+                    if in_range:
+                        state = reducer.identity()
+                        i = ctx.tx
+                        while i < length:
+                            vals = [ctx.gload(inbuf, addr(r, i, j))
+                                    for j in range(k)]
+                            state = reducer.combine(
+                                state, reducer.element(vals, i))
+                            i += threads
+                        for w in range(width):
+                            ctx.sstore(f"s{w}", ctx.tx, state[w])
+                    yield SYNC
+                    active = threads // 2
+                    for _step in range(tree_steps):
+                        if in_range and ctx.tx < active:
+                            a = tuple(ctx.sload(f"s{w}", ctx.tx)
+                                      for w in range(width))
+                            b = tuple(ctx.sload(f"s{w}", ctx.tx + active)
+                                      for w in range(width))
+                            merged = reducer.combine(a, b)
+                            for w in range(width):
+                                ctx.sstore(f"s{w}", ctx.tx, merged[w])
+                        yield SYNC
+                        active //= 2
+                    if in_range and ctx.tx == 0:
+                        final = tuple(ctx.sload(f"s{w}", 0)
+                                      for w in range(width))
+                        for m, value in enumerate(reducer.epilogue(final)):
+                            ctx.gstore(out, r * out_w + m, value)
+
+            def vector_body(ctx):
+                tx = ctx.tx
+                for rr in range(rows_per_block):
+                    r = ctx.bx * rows_per_block + rr
+                    in_range = np.broadcast_to(r < narrays, ctx.shape)
+                    state = reducer.videntity(ctx.shape)
+                    for s in range(acc_steps):
+                        i = tx + s * threads
+                        m = in_range & (i < length)
+                        if not m.any():
+                            break
+                        vals = [ctx.gload(inbuf, addr(r, i, j), m)
+                                for j in range(k)]
+                        safe_i = np.where(m, i, 0)
+                        state = _select_state(
+                            m,
+                            reducer.vcombine(state,
+                                             reducer.velement(vals, safe_i)),
+                            state)
+                    for w in range(width):
+                        ctx.sstore(f"s{w}", tx, state[w], in_range)
+                    ctx.sync()
+                    active = threads // 2
+                    for _step in range(tree_steps):
+                        m = in_range & (tx < active)
+                        a = tuple(ctx.sload(f"s{w}", tx, m)
+                                  for w in range(width))
+                        b = tuple(ctx.sload(f"s{w}", tx + active, m)
+                                  for w in range(width))
+                        merged = reducer.vcombine(a, b)
+                        for w in range(width):
+                            ctx.sstore(f"s{w}", tx, merged[w], m)
+                        ctx.sync()
+                        active //= 2
+                    m0 = in_range & (tx == 0)
+                    final = tuple(ctx.sload(f"s{w}", 0, m0)
+                                  for w in range(width))
+                    for m_out, value in enumerate(reducer.vepilogue(final)):
+                        ctx.gstore(out, r * out_w + m_out, value, m0)
+
+            def direct_body():
+                view = lane_view(inbuf.data, layout, narrays, length, k)
+                (state,) = fold_lanes([reducer], view, 1, length, threads)
+                final = tuple(f[:, 0] for f in tree_fold(reducer, state))
+                store_outputs(out, reducer.vepilogue(final), out_w)
+
+            kernel = Kernel(f"{name}_single", body, regs_per_thread=18,
+                            shared_spec=shared, vector_body=vector_body,
+                            direct_body=direct_body)
+            device.launch(kernel, blocks, threads, {"in": inbuf, "out": out})
+            return out
+        return run
 
     # -- CUDA emission ----------------------------------------------------
     def cuda_source(self) -> str:
@@ -494,89 +494,39 @@ class ReduceTwoKernelPlan(_ReducePlanBase):
         ]
 
     # -- execution ----------------------------------------------------------
-    def execute(self, device: Device, buffers, params) -> DeviceArray:
+    def bind(self, params):
         narrays = self.shape.narrays(params)
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
+        layout = self.layout
         reducer = self._reducer(params)
-        addr = _index_fn(self.layout, narrays, length, k)
+        addr = _index_fn(layout, narrays, length, k)
         nblocks = self.initial_blocks(params)
         chunk = math.ceil(length / nblocks)
         threads = self.threads
         width = reducer.state_width
         out_w = reducer.outputs_per_array
         tree_steps = int(math.log2(threads))
-        inbuf = buffers[IN]
-        partials = device.alloc(narrays * nblocks * width, dtype=np.float64,
-                                name=f"{self.name}.partials")
-        out = device.alloc(narrays * reducer.outputs_per_array,
-                           dtype=np.float64, name=f"{self.name}.out")
-
-        def initial_body(ctx):
-            r, c = divmod(ctx.bx, nblocks)
-            lo = c * chunk
-            hi = min(length, lo + chunk)
-            state = reducer.identity()
-            i = lo + ctx.tx
-            while i < hi:
-                vals = [ctx.gload(inbuf, addr(r, i, j)) for j in range(k)]
-                state = reducer.combine(state, reducer.element(vals, i))
-                i += threads
-            for w in range(width):
-                ctx.sstore(f"s{w}", ctx.tx, state[w])
-            yield SYNC
-            active = threads // 2
-            for _step in range(tree_steps):
-                if ctx.tx < active:
-                    a = tuple(ctx.sload(f"s{w}", ctx.tx)
-                              for w in range(width))
-                    b = tuple(ctx.sload(f"s{w}", ctx.tx + active)
-                              for w in range(width))
-                    merged = reducer.combine(a, b)
-                    for w in range(width):
-                        ctx.sstore(f"s{w}", ctx.tx, merged[w])
-                yield SYNC
-                active //= 2
-            if ctx.tx == 0:
-                final = tuple(ctx.sload(f"s{w}", 0) for w in range(width))
-                for w in range(width):
-                    ctx.gstore(partials, (w * narrays + r) * nblocks + c,
-                               final[w])
-
-        def merge_body(ctx):
-            r = ctx.bx
-            state = reducer.identity()
-            c = ctx.tx
-            while c < nblocks:
-                part = tuple(
-                    ctx.gload(partials, (w * narrays + r) * nblocks + c)
-                    for w in range(width))
-                state = reducer.combine(state, part)
-                c += threads
-            for w in range(width):
-                ctx.sstore(f"s{w}", ctx.tx, state[w])
-            yield SYNC
-            active = threads // 2
-            for _step in range(tree_steps):
-                if ctx.tx < active:
-                    a = tuple(ctx.sload(f"s{w}", ctx.tx)
-                              for w in range(width))
-                    b = tuple(ctx.sload(f"s{w}", ctx.tx + active)
-                              for w in range(width))
-                    merged = reducer.combine(a, b)
-                    for w in range(width):
-                        ctx.sstore(f"s{w}", ctx.tx, merged[w])
-                yield SYNC
-                active //= 2
-            if ctx.tx == 0:
-                final = tuple(ctx.sload(f"s{w}", 0) for w in range(width))
-                for m, value in enumerate(reducer.epilogue(final)):
-                    ctx.gstore(out, r * out_w + m, value)
-
         acc_steps = math.ceil(chunk / threads) if chunk else 0
         merge_steps = math.ceil(nblocks / threads)
+        shared = {f"s{w}": (threads, np.float64) for w in range(width)}
+        name = self.name
 
-        def _vector_tree(ctx, tx):
+        def tree(ctx):
+            active = threads // 2
+            for _step in range(tree_steps):
+                if ctx.tx < active:
+                    a = tuple(ctx.sload(f"s{w}", ctx.tx)
+                              for w in range(width))
+                    b = tuple(ctx.sload(f"s{w}", ctx.tx + active)
+                              for w in range(width))
+                    merged = reducer.combine(a, b)
+                    for w in range(width):
+                        ctx.sstore(f"s{w}", ctx.tx, merged[w])
+                yield SYNC
+                active //= 2
+
+        def vector_tree(ctx, tx):
             active = threads // 2
             for _step in range(tree_steps):
                 m = tx < active
@@ -589,82 +539,139 @@ class ReduceTwoKernelPlan(_ReducePlanBase):
                 ctx.sync()
                 active //= 2
 
-        def initial_vector(ctx):
-            tx = ctx.tx
-            r = ctx.bx // nblocks
-            c = ctx.bx % nblocks
-            lo = c * chunk
-            hi = np.minimum(length, lo + chunk)
-            state = reducer.videntity(ctx.shape)
-            for s in range(acc_steps):
-                i = lo + tx + s * threads
-                m = i < hi
-                if not m.any():
-                    break
-                vals = [ctx.gload(inbuf, addr(r, i, j), m)
-                        for j in range(k)]
-                safe_i = np.where(m, i, 0)
-                state = _select_state(
-                    m,
-                    reducer.vcombine(state, reducer.velement(vals, safe_i)),
-                    state)
-            for w in range(width):
-                ctx.sstore(f"s{w}", tx, state[w])
-            ctx.sync()
-            _vector_tree(ctx, tx)
-            m0 = tx == 0
-            final = tuple(ctx.sload(f"s{w}", 0, m0) for w in range(width))
-            for w in range(width):
-                ctx.gstore(partials, (w * narrays + r) * nblocks + c,
-                           final[w], m0)
+        def run(device: Device, inbuf: DeviceArray) -> DeviceArray:
+            partials = device.alloc(narrays * nblocks * width,
+                                    dtype=np.float64,
+                                    name=f"{name}.partials")
+            out = device.alloc(narrays * out_w, dtype=np.float64,
+                               name=f"{name}.out")
 
-        def merge_vector(ctx):
-            tx = ctx.tx
-            r = ctx.bx
-            state = reducer.videntity(ctx.shape)
-            for s in range(merge_steps):
-                c = tx + s * threads
-                m = c < nblocks
-                if not np.any(m):
-                    break
-                part = tuple(
-                    ctx.gload(partials, (w * narrays + r) * nblocks + c, m)
-                    for w in range(width))
-                state = _select_state(
-                    m, reducer.vcombine(state, part), state)
-            for w in range(width):
-                ctx.sstore(f"s{w}", tx, state[w])
-            ctx.sync()
-            _vector_tree(ctx, tx)
-            m0 = tx == 0
-            final = tuple(ctx.sload(f"s{w}", 0, m0) for w in range(width))
-            for m_out, value in enumerate(reducer.vepilogue(final)):
-                ctx.gstore(out, r * out_w + m_out, value, m0)
+            def initial_body(ctx):
+                r, c = divmod(ctx.bx, nblocks)
+                lo = c * chunk
+                hi = min(length, lo + chunk)
+                state = reducer.identity()
+                i = lo + ctx.tx
+                while i < hi:
+                    vals = [ctx.gload(inbuf, addr(r, i, j))
+                            for j in range(k)]
+                    state = reducer.combine(state, reducer.element(vals, i))
+                    i += threads
+                for w in range(width):
+                    ctx.sstore(f"s{w}", ctx.tx, state[w])
+                yield SYNC
+                yield from tree(ctx)
+                if ctx.tx == 0:
+                    final = tuple(ctx.sload(f"s{w}", 0)
+                                  for w in range(width))
+                    for w in range(width):
+                        ctx.gstore(partials,
+                                   (w * narrays + r) * nblocks + c, final[w])
 
-        parts = partials.data.reshape(width, narrays, nblocks)
+            def merge_body(ctx):
+                r = ctx.bx
+                state = reducer.identity()
+                c = ctx.tx
+                while c < nblocks:
+                    part = tuple(
+                        ctx.gload(partials, (w * narrays + r) * nblocks + c)
+                        for w in range(width))
+                    state = reducer.combine(state, part)
+                    c += threads
+                for w in range(width):
+                    ctx.sstore(f"s{w}", ctx.tx, state[w])
+                yield SYNC
+                yield from tree(ctx)
+                if ctx.tx == 0:
+                    final = tuple(ctx.sload(f"s{w}", 0)
+                                  for w in range(width))
+                    for m, value in enumerate(reducer.epilogue(final)):
+                        ctx.gstore(out, r * out_w + m, value)
 
-        def initial_direct():
-            view = lane_view(inbuf.data, self.layout, narrays, length, k)
-            (state,) = fold_lanes([reducer], view, nblocks, chunk, threads)
-            parts[:] = tree_fold(reducer, state)
+            def initial_vector(ctx):
+                tx = ctx.tx
+                r = ctx.bx // nblocks
+                c = ctx.bx % nblocks
+                lo = c * chunk
+                hi = np.minimum(length, lo + chunk)
+                state = reducer.videntity(ctx.shape)
+                for s in range(acc_steps):
+                    i = lo + tx + s * threads
+                    m = i < hi
+                    if not m.any():
+                        break
+                    vals = [ctx.gload(inbuf, addr(r, i, j), m)
+                            for j in range(k)]
+                    safe_i = np.where(m, i, 0)
+                    state = _select_state(
+                        m,
+                        reducer.vcombine(state,
+                                         reducer.velement(vals, safe_i)),
+                        state)
+                for w in range(width):
+                    ctx.sstore(f"s{w}", tx, state[w])
+                ctx.sync()
+                vector_tree(ctx, tx)
+                m0 = tx == 0
+                final = tuple(ctx.sload(f"s{w}", 0, m0)
+                              for w in range(width))
+                for w in range(width):
+                    ctx.gstore(partials, (w * narrays + r) * nblocks + c,
+                               final[w], m0)
 
-        def merge_direct():
-            state = fold_partials(reducer, tuple(parts), threads)
-            store_outputs(out, reducer.vepilogue(tree_fold(reducer, state)),
-                          out_w)
+            def merge_vector(ctx):
+                tx = ctx.tx
+                r = ctx.bx
+                state = reducer.videntity(ctx.shape)
+                for s in range(merge_steps):
+                    c = tx + s * threads
+                    m = c < nblocks
+                    if not np.any(m):
+                        break
+                    part = tuple(
+                        ctx.gload(partials, (w * narrays + r) * nblocks + c,
+                                  m)
+                        for w in range(width))
+                    state = _select_state(
+                        m, reducer.vcombine(state, part), state)
+                for w in range(width):
+                    ctx.sstore(f"s{w}", tx, state[w])
+                ctx.sync()
+                vector_tree(ctx, tx)
+                m0 = tx == 0
+                final = tuple(ctx.sload(f"s{w}", 0, m0)
+                              for w in range(width))
+                for m_out, value in enumerate(reducer.vepilogue(final)):
+                    ctx.gstore(out, r * out_w + m_out, value, m0)
 
-        shared = {f"s{w}": (threads, np.float64) for w in range(width)}
-        # Each launch names every buffer it writes, so a launch-scope NaN
-        # fault poisons what the next stage (or the caller) reads.
-        device.launch(
-            Kernel(f"{self.name}_initial", initial_body, 18, shared,
-                   vector_body=initial_vector, direct_body=initial_direct),
-            narrays * nblocks, threads, {"in": inbuf, "partials": partials})
-        device.launch(
-            Kernel(f"{self.name}_merge", merge_body, 16, shared,
-                   vector_body=merge_vector, direct_body=merge_direct),
-            narrays, threads, {"partials": partials, "out": out})
-        return out
+            parts = partials.data.reshape(width, narrays, nblocks)
+
+            def initial_direct():
+                view = lane_view(inbuf.data, layout, narrays, length, k)
+                (state,) = fold_lanes([reducer], view, nblocks, chunk,
+                                      threads)
+                parts[:] = tree_fold(reducer, state)
+
+            def merge_direct():
+                state = fold_partials(reducer, tuple(parts), threads)
+                store_outputs(out,
+                              reducer.vepilogue(tree_fold(reducer, state)),
+                              out_w)
+
+            # Each launch names every buffer it writes, so a launch-scope
+            # NaN fault poisons what the next stage (or the caller) reads.
+            device.launch(
+                Kernel(f"{name}_initial", initial_body, 18, shared,
+                       vector_body=initial_vector,
+                       direct_body=initial_direct),
+                narrays * nblocks, threads,
+                {"in": inbuf, "partials": partials})
+            device.launch(
+                Kernel(f"{name}_merge", merge_body, 16, shared,
+                       vector_body=merge_vector, direct_body=merge_direct),
+                narrays, threads, {"partials": partials, "out": out})
+            return out
+        return run
 
     def cuda_source(self) -> str:
         reducer = self.reducer_fn(None)
@@ -708,53 +715,60 @@ class ReduceThreadPerArrayPlan(_ReducePlanBase):
             regs_per_thread=16, shared_per_block=0)
         return [PlannedLaunch(self.name, blocks, self.threads, workload)]
 
-    def execute(self, device: Device, buffers, params) -> DeviceArray:
+    def bind(self, params):
         narrays = self.shape.narrays(params)
         length = self.shape.nelements(params)
         k = self.shape.pops_per_iter
+        layout = self.layout
         reducer = self._reducer(params)
-        addr = _index_fn(self.layout, narrays, length, k)
-        out = device.alloc(narrays * reducer.outputs_per_array,
-                           dtype=np.float64, name=f"{self.name}.out")
+        addr = _index_fn(layout, narrays, length, k)
         out_w = reducer.outputs_per_array
-        inbuf = buffers[IN]
+        threads = self.threads
+        blocks = max(1, math.ceil(narrays / threads))
+        name = self.name
 
-        def body(ctx):
-            r = ctx.global_tid
-            if r >= narrays:
-                return
-            state = reducer.identity()
-            for i in range(length):
-                vals = [ctx.gload(inbuf, addr(r, i, j)) for j in range(k)]
-                state = reducer.combine(state, reducer.element(vals, i))
-            for m, value in enumerate(reducer.epilogue(state)):
-                ctx.gstore(out, r * out_w + m, value)
+        def run(device: Device, inbuf: DeviceArray) -> DeviceArray:
+            out = device.alloc(narrays * out_w, dtype=np.float64,
+                               name=f"{name}.out")
 
-        def vector_body(ctx):
-            r = ctx.global_tid
-            mask = r < narrays
-            state = reducer.videntity(ctx.shape)
-            for i in range(length):
-                vals = [ctx.gload(inbuf, addr(r, i, j), mask)
-                        for j in range(k)]
-                state = reducer.vcombine(state, reducer.velement(vals, i))
-            for m_out, value in enumerate(reducer.vepilogue(state)):
-                ctx.gstore(out, r * out_w + m_out, value, mask)
+            def body(ctx):
+                r = ctx.global_tid
+                if r >= narrays:
+                    return
+                state = reducer.identity()
+                for i in range(length):
+                    vals = [ctx.gload(inbuf, addr(r, i, j))
+                            for j in range(k)]
+                    state = reducer.combine(state, reducer.element(vals, i))
+                for m, value in enumerate(reducer.epilogue(state)):
+                    ctx.gstore(out, r * out_w + m, value)
 
-        def direct_body():
-            view = lane_view(inbuf.data, self.layout, narrays, length, k)
-            state = reducer.videntity((narrays,))
-            for i in range(length):
-                vals = [view[:, i, j] for j in range(k)]
-                state = reducer.vcombine(state, reducer.velement(vals, i))
-            store_outputs(out, reducer.vepilogue(state), out_w)
+            def vector_body(ctx):
+                r = ctx.global_tid
+                mask = r < narrays
+                state = reducer.videntity(ctx.shape)
+                for i in range(length):
+                    vals = [ctx.gload(inbuf, addr(r, i, j), mask)
+                            for j in range(k)]
+                    state = reducer.vcombine(state,
+                                             reducer.velement(vals, i))
+                for m_out, value in enumerate(reducer.vepilogue(state)):
+                    ctx.gstore(out, r * out_w + m_out, value, mask)
 
-        kernel = Kernel(f"{self.name}_tpa", body, regs_per_thread=16,
-                        vector_body=vector_body, direct_body=direct_body)
-        blocks = max(1, math.ceil(narrays / self.threads))
-        device.launch(kernel, blocks, self.threads,
-                      {"in": inbuf, "out": out})
-        return out
+            def direct_body():
+                view = lane_view(inbuf.data, layout, narrays, length, k)
+                state = reducer.videntity((narrays,))
+                for i in range(length):
+                    vals = [view[:, i, j] for j in range(k)]
+                    state = reducer.vcombine(state,
+                                             reducer.velement(vals, i))
+                store_outputs(out, reducer.vepilogue(state), out_w)
+
+            kernel = Kernel(f"{name}_tpa", body, regs_per_thread=16,
+                            vector_body=vector_body, direct_body=direct_body)
+            device.launch(kernel, blocks, threads, {"in": inbuf, "out": out})
+            return out
+        return run
 
     def cuda_source(self) -> str:
         reducer = self.reducer_fn(None)

@@ -25,7 +25,7 @@ from ...gpu import SYNC, Device, DeviceArray, GPUSpec, Kernel
 from ...ir.patterns import StencilPattern
 from ...perfmodel import KernelWorkload
 from ..exprgen import KernelFactories, compile_scalar_fn, compile_vector_fn
-from .base import IN, KernelPlan, PlannedLaunch, expr_ops, first_use
+from .base import KernelPlan, PlannedLaunch, expr_ops, first_use
 
 
 class StencilShape:
@@ -87,6 +87,12 @@ def decompose_offsets(pattern: StencilPattern,
     return _decompose(linear_offsets(pattern, params, factories), width)
 
 
+def _halo(pairs: List[Tuple[int, int]]) -> Tuple[int, int]:
+    """Halo ``(hx, hy)``: the largest |dx| and |dy| of the taps."""
+    return (max((abs(dx) for _dy, dx in pairs), default=0),
+            max((abs(dy) for dy, _dx in pairs), default=0))
+
+
 def reuse_metric(tile_w: int, tile_h: int, halo_x: int, halo_y: int,
                  accesses_per_cell: int) -> float:
     """The paper's tile-shape score: served accesses per halo element."""
@@ -112,35 +118,28 @@ class _StencilPlanBase(KernelPlan):
 
     def _element_fns(self, kind: str, params):
         """``(compute, guard, fallback)`` of one emitter ``kind``, bound
-        once per binding (``None`` where the pattern has no such part)."""
+        to ``params`` (``None`` where the pattern has no such part)."""
         compile_fn, tag = ((compile_scalar_fn, "")
                            if kind == "scalar" else (compile_vector_fn, "v"))
-
-        def build():
-            noff = len(self.pattern.offsets)
-            args = [f"_p{k}" for k in range(noff)] + ["_i"]
-            parts = ((self.pattern.compute, args, "compute"),
-                     (self.pattern.guard, ["_i"], "guard"),
-                     (self.pattern.guard_else, args, "fallback"))
-            return tuple(
-                None if expr is None else
-                compile_fn(expr, part_args, params, name=tag + name,
-                           factories=self.factories)
-                for expr, part_args, name in parts)
-        return self.cached_artifact(f"stencil_fns_{kind}", params, build)
+        noff = len(self.pattern.offsets)
+        args = [f"_p{k}" for k in range(noff)] + ["_i"]
+        parts = ((self.pattern.compute, args, "compute"),
+                 (self.pattern.guard, ["_i"], "guard"),
+                 (self.pattern.guard_else, args, "fallback"))
+        return tuple(
+            None if expr is None else
+            compile_fn(expr, part_args, params, name=tag + name,
+                       factories=self.factories)
+            for expr, part_args, name in parts)
 
     def _linear_offsets(self, params) -> List[int]:
         """Displacements for this binding, from evaluators this plan
         compiles once per displacement."""
-        return self.cached_artifact(
-            "offsets", params,
-            lambda: linear_offsets(self.pattern, params, self.factories))
+        return linear_offsets(self.pattern, params, self.factories)
 
     def _decomposed_offsets(self, params) -> List[Tuple[int, int]]:
-        def build():
-            width = max(1, self.shape.width(params))
-            return _decompose(self._linear_offsets(params), width)
-        return self.cached_artifact("pairs", params, build)
+        width = max(1, self.shape.width(params))
+        return _decompose(self._linear_offsets(params), width)
 
 
 class NaiveStencilPlan(_StencilPlanBase):
@@ -163,106 +162,106 @@ class NaiveStencilPlan(_StencilPlanBase):
             regs_per_thread=18, shared_per_block=0)
         return [PlannedLaunch(self.name, blocks, self.threads, workload)]
 
-    def execute(self, device: Device, buffers, params) -> DeviceArray:
+    def bind(self, params):
         width = self.shape.width(params)
         height = self.shape.height(params)
         size = width * height
         disps = self._linear_offsets(params)
         scalar_fns = first_use(lambda: self._element_fns("scalar", params))
-        out = device.alloc(size, dtype=np.float64, name=f"{self.name}.out")
-        inbuf = buffers[IN]
-        threads = self.threads
-
-        def body(ctx):
-            i = ctx.global_tid
-            if i >= size:
-                return
-            compute, guard, fallback = scalar_fns()
-            in_bounds = all(0 <= i + d < size for d in disps)
-            ok = in_bounds if guard is None else guard(i)
-            if ok:
-                vals = [ctx.gload(inbuf, i + d) for d in disps]
-                ctx.gstore(out, i, compute(*vals, i))
-            else:
-                center = ctx.gload(inbuf, i)
-                if fallback is not None:
-                    vals = [center] * len(disps)
-                    ctx.gstore(out, i, fallback(*vals, i))
-                else:
-                    ctx.gstore(out, i, center)
-
         vcompute, vguard, vfallback = self._element_fns("vector", params)
-
-        def vector_body(ctx):
-            # Mirrors the scalar per-lane access sequences: ok lanes load
-            # every tap, guard-excluded lanes load only the center, and all
-            # alive lanes store once.
-            i = ctx.global_tid
-            alive = i < size
-            if not alive.any():
-                return
-            safe_i = np.where(alive, i, 0)
-            if vguard is None:
-                ok = np.ones(i.shape, dtype=bool)
-                for d in disps:
-                    ok &= (i + d >= 0) & (i + d < size)
-            else:
-                ok = np.asarray(vguard(safe_i), dtype=bool)
-            okm = alive & ok
-            elm = alive & ~ok
-            vals = [ctx.gload(inbuf, np.where(okm, i + d, 0), okm)
-                    for d in disps]
-            center = ctx.gload(inbuf, i, elm)
-            result = vcompute(*vals, safe_i)
-            if vfallback is not None:
-                alt = vfallback(*([center] * len(disps)), safe_i)
-            else:
-                alt = center
-            ctx.gstore(out, i, np.where(ok, result, alt), alive)
-
+        threads = self.threads
+        blocks = max(1, math.ceil(size / threads))
         lo = min(disps, default=0)
         hi = max(disps, default=0)
         pad_lo, pad_hi = max(0, -lo), max(0, hi)
-
-        def select_cells():
-            """Per-cell tap/fallback choice, and whether the guard admits
-            a tap outside the input; fixed by the binding."""
-            ok = np.zeros(size, dtype=bool)
-            ok[pad_lo:max(0, min(size, size - hi))] = True
-            if vguard is None:
-                return ok, False
+        # Per-cell tap/fallback choice, and whether the guard admits a
+        # tap outside the input: fixed by the binding.
+        ok = np.zeros(size, dtype=bool)
+        ok[pad_lo:max(0, min(size, size - hi))] = True
+        outside = False
+        if vguard is not None:
             inside = ok
             ok = np.asarray(vguard(np.arange(size, dtype=np.int64)),
                             dtype=bool)
-            return ok, bool(np.any(ok & ~inside))
+            outside = bool(np.any(ok & ~inside))
+        name = self.name
 
-        def direct_body():
-            # Linear taps are slices of one zero-padded copy of the input.
-            ok, outside = self.cached_artifact("direct_cells", params,
-                                               select_cells)
-            x = inbuf.data[:size].astype(np.float64, copy=False)
-            i = np.arange(size, dtype=np.int64)
-            if outside:
-                # The guard admits taps outside the input: gather them
-                # like the emulated path (same wrap-around or IndexError).
-                vals = [inbuf.data[np.where(ok, i + d, 0)].astype(np.float64)
+        def run(device: Device, inbuf: DeviceArray) -> DeviceArray:
+            out = device.alloc(size, dtype=np.float64, name=f"{name}.out")
+
+            def body(ctx):
+                i = ctx.global_tid
+                if i >= size:
+                    return
+                compute, guard, fallback = scalar_fns()
+                in_bounds = all(0 <= i + d < size for d in disps)
+                ok = in_bounds if guard is None else guard(i)
+                if ok:
+                    vals = [ctx.gload(inbuf, i + d) for d in disps]
+                    ctx.gstore(out, i, compute(*vals, i))
+                else:
+                    center = ctx.gload(inbuf, i)
+                    if fallback is not None:
+                        vals = [center] * len(disps)
+                        ctx.gstore(out, i, fallback(*vals, i))
+                    else:
+                        ctx.gstore(out, i, center)
+
+            def vector_body(ctx):
+                # Mirrors the scalar per-lane access sequences: ok lanes
+                # load every tap, guard-excluded lanes load only the
+                # center, and all alive lanes store once.
+                i = ctx.global_tid
+                alive = i < size
+                if not alive.any():
+                    return
+                safe_i = np.where(alive, i, 0)
+                if vguard is None:
+                    ok = np.ones(i.shape, dtype=bool)
+                    for d in disps:
+                        ok &= (i + d >= 0) & (i + d < size)
+                else:
+                    ok = np.asarray(vguard(safe_i), dtype=bool)
+                okm = alive & ok
+                elm = alive & ~ok
+                vals = [ctx.gload(inbuf, np.where(okm, i + d, 0), okm)
                         for d in disps]
-            else:
-                padded = np.zeros(pad_lo + size + pad_hi)
-                padded[pad_lo:pad_lo + size] = x
-                vals = [padded[pad_lo + d:pad_lo + d + size] for d in disps]
-            result = vcompute(*vals, i)
-            if vfallback is not None:
-                alt = vfallback(*([x] * len(disps)), i)
-            else:
-                alt = x
-            out.data[:size] = np.where(ok, result, alt)
+                center = ctx.gload(inbuf, i, elm)
+                result = vcompute(*vals, safe_i)
+                if vfallback is not None:
+                    alt = vfallback(*([center] * len(disps)), safe_i)
+                else:
+                    alt = center
+                ctx.gstore(out, i, np.where(ok, result, alt), alive)
 
-        kernel = Kernel(f"{self.name}_naive", body, regs_per_thread=18,
-                        vector_body=vector_body, direct_body=direct_body)
-        blocks = max(1, math.ceil(size / threads))
-        device.launch(kernel, blocks, threads, {"in": inbuf, "out": out})
-        return out
+            def direct_body():
+                # Linear taps are slices of one zero-padded copy of the
+                # input.
+                x = inbuf.data[:size].astype(np.float64, copy=False)
+                cells = np.arange(size, dtype=np.int64)
+                if outside:
+                    # The guard admits taps outside the input: gather
+                    # them like the emulated path (same wrap-around or
+                    # IndexError).
+                    vals = [inbuf.data[np.where(ok, cells + d, 0)].astype(
+                        np.float64) for d in disps]
+                else:
+                    padded = np.zeros(pad_lo + size + pad_hi)
+                    padded[pad_lo:pad_lo + size] = x
+                    vals = [padded[pad_lo + d:pad_lo + d + size]
+                            for d in disps]
+                result = vcompute(*vals, cells)
+                if vfallback is not None:
+                    alt = vfallback(*([x] * len(disps)), cells)
+                else:
+                    alt = x
+                out.data[:size] = np.where(ok, result, alt)
+
+            kernel = Kernel(f"{name}_naive", body, regs_per_thread=18,
+                            vector_body=vector_body, direct_body=direct_body)
+            device.launch(kernel, blocks, threads, {"in": inbuf, "out": out})
+            return out
+        return run
 
     def cuda_source(self) -> str:
         return (f"// {self.name}: naive global-memory stencil "
@@ -287,24 +286,23 @@ class TiledStencilPlan(_StencilPlanBase):
 
     # ------------------------------------------------------------------
     def halo(self, params) -> Tuple[int, int]:
-        pairs = self._decomposed_offsets(params)
-        hx = max((abs(dx) for _dy, dx in pairs), default=0)
-        hy = max((abs(dy) for dy, _dx in pairs), default=0)
-        return hx, hy
+        return _halo(self._decomposed_offsets(params))
 
-    def choose_tile(self, params) -> Tuple[int, int]:
+    def choose_tile(self, params, pairs=None) -> Tuple[int, int]:
         """Pick the super-tile shape by reuse metric under constraints.
 
         Constraints: tile width a warp multiple, the staged region fits in
         a shared-memory budget, and — the input-aware part — the grid keeps
         at least ~2 blocks per SM when the input allows it, shrinking the
-        tile for small inputs.
+        tile for small inputs.  ``pairs`` are the binding's decomposed
+        offsets when the caller already has them.
         """
         if self._fixed_tile is not None:
             return self._fixed_tile
         width = self.shape.width(params)
         height = self.shape.height(params)
-        hx, hy = self.halo(params)
+        hx, hy = _halo(self._decomposed_offsets(params)
+                       if pairs is None else pairs)
         budget = self.spec.max_shared_mem_per_block // 2
         target_blocks = 2 * self.spec.num_sms
         accesses = len(self.pattern.offsets)
@@ -331,17 +329,17 @@ class TiledStencilPlan(_StencilPlanBase):
             best = (32, 4)
         return best
 
-    def _grid(self, params) -> int:
-        width = self.shape.width(params)
-        height = self.shape.height(params)
-        tw, th = self.choose_tile(params)
-        return max(1, math.ceil(width / tw) * math.ceil(height / th))
+    def _grid(self, params, tile=None) -> int:
+        tw, th = tile or self.choose_tile(params)
+        return max(1, math.ceil(self.shape.width(params) / tw)
+                   * math.ceil(self.shape.height(params) / th))
 
     # ------------------------------------------------------------------
     def launches(self, params) -> List[PlannedLaunch]:
-        tw, th = self.choose_tile(params)
-        hx, hy = self.halo(params)
-        blocks = self._grid(params)
+        pairs = self._decomposed_offsets(params)
+        tw, th = self.choose_tile(params, pairs)
+        hx, hy = _halo(pairs)
+        blocks = self._grid(params, (tw, th))
         cells = tw * th
         staged = (tw + 2 * hx) * (th + 2 * hy)
         warps = max(1, self.threads // self.spec.warp_size)
@@ -358,162 +356,164 @@ class TiledStencilPlan(_StencilPlanBase):
         return [PlannedLaunch(self.name, blocks, self.threads, workload)]
 
     # ------------------------------------------------------------------
-    def execute(self, device: Device, buffers, params) -> DeviceArray:
+    def bind(self, params):
         width = self.shape.width(params)
         height = self.shape.height(params)
         size = width * height
         pairs = self._decomposed_offsets(params)
         scalar_fns = first_use(lambda: self._element_fns("scalar", params))
-        tw, th = self.choose_tile(params)
-        hx, hy = self.halo(params)
+        vcompute, vguard, vfallback = self._element_fns("vector", params)
+        tw, th = self.choose_tile(params, pairs)
+        hx, hy = _halo(pairs)
         sw, sh = tw + 2 * hx, th + 2 * hy
         tiles_x = math.ceil(width / tw)
         tiles_y = math.ceil(height / th)
-        out = device.alloc(size, dtype=np.float64, name=f"{self.name}.out")
-        inbuf = buffers[IN]
         threads = self.threads
         staged = sw * sh
-
-        def body(ctx):
-            compute, guard, fallback = scalar_fns()
-            ty, tx = divmod(ctx.bx, tiles_x)
-            x0 = tx * tw - hx
-            y0 = ty * th - hy
-            # Cooperative staging: threads stride over the staged region.
-            s = ctx.tx
-            while s < staged:
-                sy, sx = divmod(s, sw)
-                gy, gx = y0 + sy, x0 + sx
-                if 0 <= gy < height and 0 <= gx < width:
-                    ctx.sstore("tile", s, ctx.gload(inbuf, gy * width + gx))
-                else:
-                    ctx.sstore("tile", s, 0.0)
-                s += threads
-            yield SYNC
-            # Each thread computes its cells of the tile.
-            c = ctx.tx
-            while c < tw * th:
-                cy, cx = divmod(c, tw)
-                gy, gx = ty * th + cy, tx * tw + cx
-                if gy < height and gx < width:
-                    i = gy * width + gx
-                    interior = all(0 <= gy + dy < height
-                                   and 0 <= gx + dx < width
-                                   for dy, dx in pairs)
-                    if guard is None:
-                        ok = interior
-                    else:
-                        ok = guard(i) and interior
-                    ly, lx = cy + hy, cx + hx
-                    if ok:
-                        vals = [ctx.sload("tile",
-                                          (ly + dy) * sw + (lx + dx))
-                                for dy, dx in pairs]
-                        ctx.gstore(out, i, compute(*vals, i))
-                    else:
-                        center = ctx.sload("tile", ly * sw + lx)
-                        if fallback is not None:
-                            vals = [center] * len(pairs)
-                            ctx.gstore(out, i, fallback(*vals, i))
-                        else:
-                            ctx.gstore(out, i, center)
-                c += threads
-
-        vcompute, vguard, vfallback = self._element_fns("vector", params)
         stage_steps = math.ceil(staged / threads)
         comp_steps = math.ceil(tw * th / threads)
-
-        def vector_body(ctx):
-            t_y = ctx.bx // tiles_x
-            t_x = ctx.bx % tiles_x
-            x0 = t_x * tw - hx
-            y0 = t_y * th - hy
-            for step in range(stage_steps):
-                s = ctx.tx + step * threads
-                m = s < staged
-                if not m.any():
-                    break
-                sy, sx = np.divmod(s, sw)
-                gy = y0 + sy
-                gx = x0 + sx
-                inb = (m & (gy >= 0) & (gy < height)
-                       & (gx >= 0) & (gx < width))
-                v = ctx.gload(inbuf, gy * width + gx, inb)
-                ctx.sstore("tile", s, np.where(inb, v, 0.0), m)
-            ctx.sync()
-            for step in range(comp_steps):
-                c = ctx.tx + step * threads
-                cy, cx = np.divmod(c, tw)
-                gy = t_y * th + cy
-                gx = t_x * tw + cx
-                cell = (c < tw * th) & (gy < height) & (gx < width)
-                if not cell.any():
-                    continue
-                i = gy * width + gx
-                safe_i = np.where(cell, i, 0)
-                interior = np.ones(cell.shape, dtype=bool)
-                for dy, dx in pairs:
-                    interior &= ((gy + dy >= 0) & (gy + dy < height)
-                                 & (gx + dx >= 0) & (gx + dx < width))
-                if vguard is None:
-                    ok = interior
-                else:
-                    ok = np.asarray(vguard(safe_i), dtype=bool) & interior
-                okm = cell & ok
-                elm = cell & ~ok
-                ly = cy + hy
-                lx = cx + hx
-                vals = [ctx.sload("tile", (ly + dy) * sw + (lx + dx), okm)
-                        for dy, dx in pairs]
-                center = ctx.sload("tile", ly * sw + lx, elm)
-                result = vcompute(*vals, safe_i)
-                if vfallback is not None:
-                    alt = vfallback(*([center] * len(pairs)), safe_i)
-                else:
-                    alt = center
-                ctx.gstore(out, i, np.where(ok, result, alt), cell)
-
         dys = [dy for dy, _dx in pairs] or [0]
         dxs = [dx for _dy, dx in pairs] or [0]
+        # Cells computed from their taps (interior and guarded); the rest
+        # take the fallback.  Fixed by the binding.
+        ok = np.zeros((height, width), dtype=bool)
+        ok[max(0, -min(dys)):max(0, min(height, height - max(dys))),
+           max(0, -min(dxs)):max(0, min(width, width - max(dxs)))] = True
+        if vguard is not None:
+            ok &= np.asarray(vguard(np.arange(size, dtype=np.int64).reshape(
+                height, width)), dtype=bool)
+        shared = {"tile": (staged, np.float64)}
+        name = self.name
 
-        def select_cells():
-            """Cells computed from their taps (interior and guarded); the
-            rest take the fallback.  Fixed by the binding."""
-            ok = np.zeros((height, width), dtype=bool)
-            ok[max(0, -min(dys)):max(0, min(height, height - max(dys))),
-               max(0, -min(dxs)):max(0, min(width, width - max(dxs)))] = True
-            if vguard is not None:
+        def run(device: Device, inbuf: DeviceArray) -> DeviceArray:
+            out = device.alloc(size, dtype=np.float64, name=f"{name}.out")
+
+            def body(ctx):
+                compute, guard, fallback = scalar_fns()
+                ty, tx = divmod(ctx.bx, tiles_x)
+                x0 = tx * tw - hx
+                y0 = ty * th - hy
+                # Cooperative staging: threads stride over the staged
+                # region.
+                s = ctx.tx
+                while s < staged:
+                    sy, sx = divmod(s, sw)
+                    gy, gx = y0 + sy, x0 + sx
+                    if 0 <= gy < height and 0 <= gx < width:
+                        ctx.sstore("tile", s,
+                                   ctx.gload(inbuf, gy * width + gx))
+                    else:
+                        ctx.sstore("tile", s, 0.0)
+                    s += threads
+                yield SYNC
+                # Each thread computes its cells of the tile.
+                c = ctx.tx
+                while c < tw * th:
+                    cy, cx = divmod(c, tw)
+                    gy, gx = ty * th + cy, tx * tw + cx
+                    if gy < height and gx < width:
+                        i = gy * width + gx
+                        interior = all(0 <= gy + dy < height
+                                       and 0 <= gx + dx < width
+                                       for dy, dx in pairs)
+                        if guard is None:
+                            ok = interior
+                        else:
+                            ok = guard(i) and interior
+                        ly, lx = cy + hy, cx + hx
+                        if ok:
+                            vals = [ctx.sload("tile",
+                                              (ly + dy) * sw + (lx + dx))
+                                    for dy, dx in pairs]
+                            ctx.gstore(out, i, compute(*vals, i))
+                        else:
+                            center = ctx.sload("tile", ly * sw + lx)
+                            if fallback is not None:
+                                vals = [center] * len(pairs)
+                                ctx.gstore(out, i, fallback(*vals, i))
+                            else:
+                                ctx.gstore(out, i, center)
+                    c += threads
+
+            def vector_body(ctx):
+                t_y = ctx.bx // tiles_x
+                t_x = ctx.bx % tiles_x
+                x0 = t_x * tw - hx
+                y0 = t_y * th - hy
+                for step in range(stage_steps):
+                    s = ctx.tx + step * threads
+                    m = s < staged
+                    if not m.any():
+                        break
+                    sy, sx = np.divmod(s, sw)
+                    gy = y0 + sy
+                    gx = x0 + sx
+                    inb = (m & (gy >= 0) & (gy < height)
+                           & (gx >= 0) & (gx < width))
+                    v = ctx.gload(inbuf, gy * width + gx, inb)
+                    ctx.sstore("tile", s, np.where(inb, v, 0.0), m)
+                ctx.sync()
+                for step in range(comp_steps):
+                    c = ctx.tx + step * threads
+                    cy, cx = np.divmod(c, tw)
+                    gy = t_y * th + cy
+                    gx = t_x * tw + cx
+                    cell = (c < tw * th) & (gy < height) & (gx < width)
+                    if not cell.any():
+                        continue
+                    i = gy * width + gx
+                    safe_i = np.where(cell, i, 0)
+                    interior = np.ones(cell.shape, dtype=bool)
+                    for dy, dx in pairs:
+                        interior &= ((gy + dy >= 0) & (gy + dy < height)
+                                     & (gx + dx >= 0) & (gx + dx < width))
+                    if vguard is None:
+                        ok = interior
+                    else:
+                        ok = np.asarray(vguard(safe_i), dtype=bool) \
+                            & interior
+                    okm = cell & ok
+                    elm = cell & ~ok
+                    ly = cy + hy
+                    lx = cx + hx
+                    vals = [ctx.sload("tile", (ly + dy) * sw + (lx + dx),
+                                      okm)
+                            for dy, dx in pairs]
+                    center = ctx.sload("tile", ly * sw + lx, elm)
+                    result = vcompute(*vals, safe_i)
+                    if vfallback is not None:
+                        alt = vfallback(*([center] * len(pairs)), safe_i)
+                    else:
+                        alt = center
+                    ctx.gstore(out, i, np.where(ok, result, alt), cell)
+
+            def direct_body():
+                # Every super tile's staged region is a window of one
+                # zero-padded (height+2hy, width+2hx) grid, so each tap is
+                # a single slice of it.
+                grid = inbuf.data[:size].astype(
+                    np.float64, copy=False).reshape(height, width)
+                padded = np.zeros((height + 2 * hy, width + 2 * hx))
+                padded[hy:hy + height, hx:hx + width] = grid
+                vals = [padded[hy + dy:hy + dy + height,
+                               hx + dx:hx + dx + width]
+                        for dy, dx in pairs]
                 i = np.arange(size, dtype=np.int64).reshape(height, width)
-                ok &= np.asarray(vguard(i), dtype=bool)
-            return ok
+                result = vcompute(*vals, i)
+                if vfallback is not None:
+                    alt = vfallback(*([grid] * len(pairs)), i)
+                else:
+                    alt = grid
+                out.data[:size].reshape(height, width)[...] = np.where(
+                    ok, result, alt)
 
-        def direct_body():
-            # Every super tile's staged region is a window of one
-            # zero-padded (height+2hy, width+2hx) grid, so each tap is a
-            # single slice of it.
-            ok = self.cached_artifact("direct_cells", params, select_cells)
-            grid = inbuf.data[:size].astype(np.float64, copy=False).reshape(
-                height, width)
-            padded = np.zeros((height + 2 * hy, width + 2 * hx))
-            padded[hy:hy + height, hx:hx + width] = grid
-            vals = [padded[hy + dy:hy + dy + height, hx + dx:hx + dx + width]
-                    for dy, dx in pairs]
-            i = np.arange(size, dtype=np.int64).reshape(height, width)
-            result = vcompute(*vals, i)
-            if vfallback is not None:
-                alt = vfallback(*([grid] * len(pairs)), i)
-            else:
-                alt = grid
-            out.data[:size].reshape(height, width)[...] = np.where(
-                ok, result, alt)
-
-        kernel = Kernel(
-            f"{self.name}_tiled", body, regs_per_thread=20,
-            shared_spec={"tile": (staged, np.float64)},
-            vector_body=vector_body, direct_body=direct_body)
-        device.launch(kernel, tiles_x * tiles_y, threads,
-                      {"in": inbuf, "out": out})
-        return out
+            kernel = Kernel(f"{name}_tiled", body, regs_per_thread=20,
+                            shared_spec=shared, vector_body=vector_body,
+                            direct_body=direct_body)
+            device.launch(kernel, tiles_x * tiles_y, threads,
+                          {"in": inbuf, "out": out})
+            return out
+        return run
 
     def cuda_source(self) -> str:
         return f"""\

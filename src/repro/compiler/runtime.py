@@ -34,30 +34,23 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..artifacts import (ArtifactBundle, BUNDLE_SCHEMA_VERSION,
-                         decode_ndarray, decode_scalars, encode_ndarray,
-                         encode_scalars, program_fingerprint, _repro_version)
+                         decode_scalars, encode_scalars, program_fingerprint,
+                         _repro_version)
 from ..errors import (BundleFormatError, BundleProgramError, CalibrationError,
-                      CompileError, KernelExecutionError, KernelTimeoutError,
-                      ModelSweepError, ReproError, SelectionError)
-from ..faults import KIND_NAN, KIND_RAISE, KIND_TIMEOUT
+                      CompileError, KernelExecutionError, ModelSweepError,
+                      SelectionError)
 from ..gpu import Device, ExecMode, GPUSpec, MODE_REFERENCE, \
-    MODE_VECTORIZED, PCIE_BANDWIDTH_GBPS
+    PCIE_BANDWIDTH_GBPS
 from ..perfmodel import AxisSpec, CalibrationStore, DecisionTable, \
     FeedbackConfig, PerformanceModel, RegionTable, Variant, geometric_points, \
     hop_seconds, layout_transform_seconds, size_bucket, sweep_axis, \
     sweep_region
-from .costing import predicted_chain_fuse_gain
-from .exprgen import (COMPILE_COUNTER, SOURCE_REGISTRY, KernelFactories,
-                      compile_chain_fn)
-from .plans.base import IN, KernelPlan, RESTRUCTURE_COUNTER, freeze_arrays, \
-    freeze_scalars
-from .segments import RegionDispatch, Segment, SegmentDispatch, chain_spans
+from .exprgen import COMPILE_COUNTER, SOURCE_REGISTRY, KernelFactories
+from .plans.base import KernelPlan, freeze_scalars
+from .schedule import (CANONICAL_LAYOUTS, STAGES, Schedule, SegmentExecution,
+                       lower, replay, schedule_key)
+from .segments import RegionDispatch, Segment, SegmentDispatch
 from .stats import CostCache, SelectionStats
-
-#: Layouts that need no host-side restructuring.
-_CANONICAL = {"interleaved", "rows"}
-
-_MISS = object()
 
 
 class InputLocation(str, enum.Enum):
@@ -138,21 +131,6 @@ class _CalibratedCost:
 
 
 @dataclasses.dataclass
-class SegmentExecution:
-    """What ran for one segment."""
-
-    segment: str
-    kind: str
-    strategy: str
-    predicted_seconds: float
-    optimizations: List[str]
-    #: Measured wall-clock of this segment's ``plan.execute`` (includes
-    #: any in-execute compilation on a cold run; warm runs are pure
-    #: kernel time).  The feedback layer's wall-clock observation source.
-    measured_seconds: float = 0.0
-
-
-@dataclasses.dataclass
 class BatchOutcome:
     """Per-index outcome of one :meth:`CompiledProgram.run_batch` call.
 
@@ -230,10 +208,6 @@ class CompiledProgram:
         #: Memoized transfer model per frozen-scalar binding (the size
         #: expressions it evaluates are pure in the scalars).
         self._transfer_memo: Dict[tuple, float] = {}
-        #: Direction-aware transfer memo for non-default (location,
-        #: placement) shapes; never serialized into bundles — the legacy
-        #: all-GPU host-resident values above are the bundle payload.
-        self._directed_transfer_memo: Dict[tuple, float] = {}
         #: Whether the compile options made placement a selection axis
         #: (CPU plan variants priced against GPU ones, boundary transfer
         #: and layout costs included in sweeps and argmin fallback).
@@ -251,16 +225,15 @@ class CompiledProgram:
         #: one; owned devices *and* batch worker devices honor it, so both
         #: paths run the same executor by construction.
         self.default_exec_mode = MODE_REFERENCE
-        #: Serializes quarantine + re-selection during failure recovery
-        #: (the cost cache and calibration store are unsynchronized).
-        self._quarantine_lock = threading.Lock()
-        #: Fused-chain plan memo: (plan ids, frozen params) -> span table
-        #: (or ``None`` when nothing in the selection fuses).  Populated
-        #: during warmup/single-threaded runs; worker threads only read
-        #: memoized entries, mirroring the cost-cache discipline.
-        self._chain_cache: Dict[tuple, object] = {}
-        #: Arrays pinned so the id()-based chain-cache keys stay unambiguous.
-        self._chain_pins: List[object] = []
+        #: Serializes the writers of shared warm state that batch workers
+        #: can reach — quarantine + re-selection after a failure, and
+        #: lowering a degraded selection (the cost cache, calibration
+        #: store and factory cache are unsynchronized).
+        self._state_lock = threading.Lock()
+        #: Lowered chains: (plan ids, frozen scalars, array ids, input
+        #: location, exec mode, fault injector) -> :class:`Schedule`.
+        #: Each schedule pins the plans and arrays whose ids key it.
+        self._schedules: Dict[tuple, Schedule] = {}
 
     @property
     def stats(self) -> SelectionStats:
@@ -282,7 +255,7 @@ class CompiledProgram:
             plans = segment.plans
         else:
             canonical = [p for p in segment.plans
-                         if p.input_layout in _CANONICAL]
+                         if p.input_layout in CANONICAL_LAYOUTS]
             plans = canonical or segment.plans
         if params is not None and self.calibration.has_quarantines():
             bucket = size_bucket(params)
@@ -318,7 +291,7 @@ class CompiledProgram:
         when placement is a selection axis, so legacy programs rank
         variants exactly as before.
         """
-        placement = getattr(plan, "placement", "gpu")
+        placement = plan.placement
         itemsize = self.wire_dtype.itemsize
         extra = 0.0
         if first:
@@ -326,7 +299,7 @@ class CompiledProgram:
         if prev is not None and placement != prev:
             extra += hop_seconds(segment.input_size(params) * itemsize)
         if first and entry_on_host and placement == "gpu" \
-                and plan.input_layout not in _CANONICAL:
+                and plan.input_layout not in CANONICAL_LAYOUTS:
             extra += layout_transform_seconds(
                 segment.input_size(params) * itemsize)
         if last and placement == "gpu":
@@ -361,8 +334,7 @@ class CompiledProgram:
         constrains what it can, it never makes a segment unrunnable)."""
         if placement == "auto":
             return list(plans)
-        matching = [p for p in plans
-                    if getattr(p, "placement", "gpu") == placement]
+        matching = [p for p in plans if p.placement == placement]
         return matching or list(plans)
 
     def select(self, params: Dict[str, float],
@@ -386,8 +358,10 @@ class CompiledProgram:
         chain.  ``placement="gpu"`` / ``"cpu"`` pins every segment that
         has a plan on that side (overriding baked winners on the other
         side); the default ``"auto"`` keeps the zero-evaluation table
-        path.
+        path.  A binding missing a declared parameter raises
+        :class:`ValueError` naming it.
         """
+        self._check_params(params)
         started = time.perf_counter()
         stats = self.stats
         stats.select_calls += 1
@@ -399,7 +373,6 @@ class CompiledProgram:
         quarantined = self.calibration.has_quarantines()
         bucket = size_bucket(params) if quarantined else None
         prev_placement: Optional[str] = None
-        last_index = len(self.segments) - 1
         for index, segment in enumerate(self.segments):
             if segment.name in force:
                 plan = segment.plan_named(force[segment.name])
@@ -413,10 +386,10 @@ class CompiledProgram:
                                                                 bucket)):
                         winner = None   # baked winner is quarantined
                     if (winner is not None and placement != "auto"
-                            and getattr(segment.plan_named(winner),
-                                        "placement", "gpu") != placement
-                            and any(getattr(p, "placement", "gpu")
-                                    == placement for p in segment.plans)):
+                            and segment.plan_named(winner).placement
+                            != placement
+                            and any(p.placement == placement
+                                    for p in segment.plans)):
                         winner = None   # baked winner is on the wrong side
                     if winner is not None:
                         plan = segment.plan_named(winner)
@@ -426,22 +399,27 @@ class CompiledProgram:
                 if plan is None:
                     if segment.dispatch is not None:
                         stats.table_fallbacks += 1
-                    eligible = self._restrict_placement(
-                        self._eligible(segment, from_host, params),
-                        placement)
-                    if self._placement:
-                        plan = self._placed_argmin(
-                            cost, segment, eligible, params,
-                            prev_placement, index == 0,
-                            index == last_index, location.on_host)
-                    else:
-                        plan = segment.best_plan(cost, params,
-                                                 plans=eligible)
+                    plan = self._argmin(cost, index, params, from_host,
+                                        prev_placement, location, placement)
             chosen.append(plan)
-            prev_placement = getattr(plan, "placement", "gpu")
+            prev_placement = plan.placement
             from_host = False
         stats.select_seconds += time.perf_counter() - started
         return chosen
+
+    def _argmin(self, cost, index: int, params: Dict[str, float],
+                from_host: bool, prev: Optional[str],
+                location: InputLocation, placement: str) -> KernelPlan:
+        """Exact model-argmin for segment ``index`` under ``cost``."""
+        segment = self.segments[index]
+        eligible = self._restrict_placement(
+            self._eligible(segment, from_host, params), placement)
+        if not self._placement:
+            return segment.best_plan(cost, params, plans=eligible)
+        return self._placed_argmin(cost, segment, eligible, params, prev,
+                                   index == 0,
+                                   index == len(self.segments) - 1,
+                                   location.on_host)
 
     def select_argmin(self, params: Dict[str, float], *,
                       model: Optional[PerformanceModel] = None,
@@ -458,23 +436,12 @@ class CompiledProgram:
         """
         cost = CostCache(model or PerformanceModel(self.spec))
         location = InputLocation(input_on_host)
-        from_host = location.on_host
         chosen: List[KernelPlan] = []
-        prev: Optional[str] = None
-        last_index = len(self.segments) - 1
-        for index, segment in enumerate(self.segments):
-            eligible = self._restrict_placement(
-                self._eligible(segment, from_host, params), placement)
-            if self._placement:
-                plan = self._placed_argmin(cost, segment, eligible, params,
-                                           prev, index == 0,
-                                           index == last_index,
-                                           location.on_host)
-            else:
-                plan = segment.best_plan(cost, params, plans=eligible)
-            chosen.append(plan)
-            prev = getattr(plan, "placement", "gpu")
-            from_host = False
+        for index in range(len(self.segments)):
+            chosen.append(self._argmin(
+                cost, index, params, index == 0 and location.on_host,
+                chosen[-1].placement if chosen else None, location,
+                placement))
         return chosen
 
     # ------------------------------------------------------------------
@@ -494,8 +461,7 @@ class CompiledProgram:
         if include_transfers:
             total += self.transfer_seconds(
                 params, location=location,
-                placements=(tuple(getattr(p, "placement", "gpu")
-                                  for p in plans)
+                placements=(tuple(p.placement for p in plans)
                             if self._placement else None))
         return total
 
@@ -530,24 +496,17 @@ class CompiledProgram:
                 seconds = nbytes / (PCIE_BANDWIDTH_GBPS * 1e9) + 2e-5
                 self._transfer_memo[key] = seconds
             return seconds
-        if placements is None:
-            placements = ("gpu",) * len(self.segments)
-        key = (freeze_scalars(params), location.value, placements)
-        seconds = self._directed_transfer_memo.get(key)
-        if seconds is None:
-            itemsize = self.wire_dtype.itemsize
-            entry = "cpu" if location.on_host else "gpu"
-            seconds = 0.0
-            side = entry
-            for segment, placement in zip(self.segments, placements):
-                if placement != side:
-                    seconds += hop_seconds(
-                        segment.input_size(params) * itemsize)
-                    side = placement
-            if side == "gpu":     # deliver the output back to the host
-                seconds += hop_seconds(
-                    self.segments[-1].output_size(params) * itemsize)
-            self._directed_transfer_memo[key] = seconds
+        itemsize = self.wire_dtype.itemsize
+        seconds = 0.0
+        side = "cpu" if location.on_host else "gpu"
+        for segment, placement in zip(self.segments, placements
+                                      or ("gpu",) * len(self.segments)):
+            if placement != side:
+                seconds += hop_seconds(segment.input_size(params) * itemsize)
+                side = placement
+        if side == "gpu":     # deliver the output back to the host
+            seconds += hop_seconds(
+                self.segments[-1].output_size(params) * itemsize)
         return seconds
 
     # ------------------------------------------------------------------
@@ -583,419 +542,114 @@ class CompiledProgram:
                 f"missing program parameter(s) {missing}; "
                 f"{self.program.name!r} declares {list(self.program.params)}")
 
+    def input_size(self, params: Dict[str, float]) -> int:
+        """Input elements the program expects for this binding."""
+        if self.program.input_size is not None:
+            return int(self.program.input_size.evaluate(params))
+        return int(self.segments[0].input_size(params))
+
     def _validate_input(self, host_input: np.ndarray,
-                        params: Dict[str, float]) -> np.ndarray:
+                        expected: int) -> np.ndarray:
         host_input = np.asarray(host_input,
                                 dtype=self.wire_dtype).reshape(-1)
-        if self.program.input_size is not None:
-            expected = self.program.input_size.evaluate(params)
-        else:
-            expected = self.segments[0].input_size(params)
         if len(host_input) != expected:
             raise ValueError(
                 f"program expects {expected} input elements for these "
                 f"parameters, got {len(host_input)}")
         return host_input
 
-    def _fused_spans(self, plans: List[KernelPlan],
-                     params: Dict[str, float], device: Device):
-        """Fused-chain execution table for one selected plan chain.
+    def _schedule(self, plans: Sequence[KernelPlan],
+                  params: Dict[str, float], location: InputLocation,
+                  mode: ExecMode) -> Tuple[Schedule, bool]:
+        """The chain's :class:`Schedule` for this key, lowered on a miss.
 
-        Returns ``{start_index: (end_index, fn, output_sizes)}`` for every
-        span the cost model decides to fuse, or ``None`` when chain fusion
-        is off, unavailable (fault injection, non-vectorized executor), or
-        predicted unprofitable everywhere.  Memoized per (plan identity,
-        binding), so a warmed program's runs — including threaded batch
-        workers — never re-render chain sources or re-price spans.
+        Returns ``(schedule, lowered)``.  Lookups are lock-free dict
+        reads; lowering takes the state lock, so a worker that degrades
+        onto a new selection lowers it once even when others race it.
         """
-        if not getattr(self.options, "fuse_chains", False):
-            return None
-        if self.faults is not None:
-            # Fault injection targets per-segment launches; a fused span
-            # would launder injected faults past their segment rules.
-            return None
-        if device.exec_mode != MODE_VECTORIZED:
-            return None
-        key = (tuple(id(plan) for plan in plans), freeze_scalars(params),
-               freeze_arrays(params))
-        cached = self._chain_cache.get(key, _MISS)
-        if cached is not _MISS:
-            return cached
-        spans = {}
-        min_gain = getattr(self.options, "fuse_min_gain", 1.05)
-        overhead = self.spec.kernel_launch_overhead_us * 1e-6
-        cost = self._selection_cost()
-        for start, end, stages in chain_spans(plans, params):
-            span_plans = plans[start:end]
-            gain = predicted_chain_fuse_gain(cost, span_plans, params,
-                                             overhead)
-            if gain < min_gain:
-                continue
-            chain_id = "->".join(self.segments[j].name
-                                 for j in range(start, end))
-            fn = compile_chain_fn(stages, params, chain_id=chain_id)
-            sizes = [plan.output_size(params) for plan in span_plans]
-            spans[start] = (end, fn, sizes)
-        value = spans or None
-        self._chain_pins.extend(plans)
-        for entry in (params or {}).values():
-            if not np.isscalar(entry) and entry is not None:
-                self._chain_pins.append(entry)
-        self._chain_cache[key] = value
-        return value
+        key = schedule_key(plans, params, location, mode, self.faults)
+        schedule = self._schedules.get(key)
+        if schedule is not None:
+            return schedule, False
+        with self._state_lock:
+            schedule = self._schedules.get(key)
+            if schedule is not None:
+                return schedule, False
+            schedule = lower(self, plans, params, location, mode)
+            self._schedules[key] = schedule
+        return schedule, True
 
-    def _execute_fused_span(self, start: int, end: int, fn, sizes,
-                            plans: List[KernelPlan], device: Device,
-                            buf, params: Dict[str, float]):
-        """One fused-chain launch; returns the span's stage outputs.
-
-        Failures are wrapped exactly like per-segment ones, anchored at
-        the span's first segment so :meth:`_recover_segment` can
-        quarantine/re-select there (the replacement changes the plan
-        identity, which invalidates the memoized span and re-plans
-        fusion for the retry).
-        """
-        outs = [device.alloc(size, dtype=np.float64,
-                             name=f"{self.segments[j].name}.out")
-                for j, size in zip(range(start, end), sizes)]
-        try:
-            device.launch_fused_chain(
-                fn, [buf.data] + [out.data for out in outs])
-        except ReproError:
-            raise
-        except Exception as exc:
-            plan = plans[start]
-            raise KernelExecutionError(
-                f"fused chain {self.segments[start].name!r}.."
-                f"{self.segments[end - 1].name!r} failed: {exc}",
-                segment=self.segments[start].name, plan=plan.strategy,
-                params=dict(freeze_scalars(params)), kind="crash",
-                segment_index=start) from exc
-        return outs
-
-    def _execute_plans(self, host_input: np.ndarray,
-                       params: Dict[str, float],
-                       plans: List[KernelPlan], device: Device,
-                       input_on_host: bool,
-                       plan_costs: Optional[Dict[int, float]] = None,
-                       compile_before=None, restructure_before=None
-                       ) -> Tuple[RunResult, SelectionStats]:
-        """Run one selected plan chain; returns (result, stats delta).
+    def _replay(self, schedule: Schedule, host_input: np.ndarray,
+                device: Device, compile_before, lowered: bool
+                ) -> Tuple[RunResult, SelectionStats]:
+        """Replay one schedule; returns (result, stats delta).
 
         Stats are returned as a delta rather than applied to
-        :attr:`stats` so ``run_many`` workers never race on the shared
-        counters; single runs merge the delta immediately.  ``plan_costs``
-        (``id(plan) -> seconds``) lets the batched runner reuse one cost
-        lookup per selection instead of querying the (unsynchronized)
-        cost cache from worker threads.  ``compile_before`` /
-        ``restructure_before`` widen the counter-attribution window (the
-        single-run path opens it before selection, whose cost-model
-        queries may compile the winning plan's functions).
+        :attr:`stats` so batch workers never race on the shared
+        counters.  ``compile_before`` opens the compile-attribution
+        window: compiles since then (selection, lowering, and any the
+        replay itself triggers) land on the ``compile`` stage, and only
+        the replay's own are taken out of the kernel stage.  ``lowered``
+        says whether this attempt lowered the schedule.
         """
-        stage = {"select": 0.0, "restructure": 0.0, "h2d": 0.0,
-                 "kernel": 0.0, "d2h": 0.0, "compile": 0.0}
-        if compile_before is None:
-            compile_before = COMPILE_COUNTER.snapshot()
-        if restructure_before is None:
-            restructure_before = RESTRUCTURE_COUNTER.snapshot()
-        exec_compile_before = COMPILE_COUNTER.snapshot()
-        selections: List[SegmentExecution] = []
-        predicted = 0.0
-        fused_runs = 0
-        spans = self._fused_spans(plans, params, device)
-
-        def plan_seconds(plan):
-            if plan_costs is not None:
-                return plan_costs[id(plan)]
-            return self.cost.plan_seconds(plan, params)
-
-        placed = self._placement
+        stage = dict.fromkeys(STAGES, 0.0)
+        replay_before = COMPILE_COUNTER.snapshot()
         try:
-            with device.scope():
-                buf = None
-                hostval = None       # host-resident value between CPU plans
-                on_device = False
-                index = 0
-                while index < len(self.segments):
-                    segment, plan = self.segments[index], plans[index]
-                    plan_on_cpu = placed and \
-                        getattr(plan, "placement", "gpu") == "cpu"
-                    if index == 0:
-                        staged = host_input
-                        if input_on_host:
-                            t = time.perf_counter()
-                            staged = plan.restructure_input(host_input,
-                                                            params)
-                            stage["restructure"] = time.perf_counter() - t
-                        if plan_on_cpu and input_on_host:
-                            # CPU-placed entry: the data never leaves the
-                            # host — the H2D (and the final D2H, if the
-                            # whole chain stays on the CPU) is elided,
-                            # which is exactly what its selection priced.
-                            hostval = staged
-                        else:
-                            t = time.perf_counter()
-                            buf = device.to_device(staged,
-                                                   name=f"{segment.name}.in")
-                            stage["h2d"] += time.perf_counter() - t
-                            on_device = True
-                            if plan_on_cpu:
-                                # Device-resident input feeding a CPU
-                                # plan pays the D2H hop its cost carried.
-                                t = time.perf_counter()
-                                hostval = device.to_host(buf)
-                                stage["d2h"] += time.perf_counter() - t
-                                on_device = False
-                    span = spans.get(index) if spans else None
-                    if span is not None:
-                        if placed and not on_device:
-                            t = time.perf_counter()
-                            buf = device.to_device(
-                                np.asarray(hostval,
-                                           dtype=np.float64).reshape(-1),
-                                name=f"{segment.name}.in")
-                            stage["h2d"] += time.perf_counter() - t
-                            on_device = True
-                        end, fn, sizes = span
-                        t = time.perf_counter()
-                        outs = self._execute_fused_span(
-                            index, end, fn, sizes, plans, device, buf,
-                            params)
-                        span_wall = time.perf_counter() - t
-                        stage["kernel"] += span_wall
-                        fused_runs += 1
-                        # Per-segment report rows survive fusion: each
-                        # span member keeps its own predicted cost and a
-                        # predicted-share slice of the measured span
-                        # wall-clock (the feedback layer's observation
-                        # granularity is the segment).
-                        costs = [plan_seconds(plans[j])
-                                 for j in range(index, end)]
-                        total = sum(costs)
-                        for offset, j in enumerate(range(index, end)):
-                            share = (costs[offset] / total if total > 0
-                                     else 1.0 / len(costs))
-                            predicted += costs[offset]
-                            selections.append(SegmentExecution(
-                                segment=self.segments[j].name,
-                                kind=self.segments[j].kind,
-                                strategy=plans[j].strategy,
-                                predicted_seconds=costs[offset],
-                                optimizations=(list(plans[j].optimizations)
-                                               + ["chain_fusion"]),
-                                measured_seconds=span_wall * share))
-                        buf = outs[-1]
-                        on_device = True
-                        index = end
-                        continue
-                    seconds = plan_seconds(plan)
-                    predicted += seconds
-                    if plan_on_cpu:
-                        if on_device:
-                            t = time.perf_counter()
-                            hostval = device.to_host(buf)
-                            stage["d2h"] += time.perf_counter() - t
-                            on_device = False
-                        t = time.perf_counter()
-                        hostval = self._execute_segment_host(
-                            segment, plan, index, hostval, params)
-                        plan_wall = time.perf_counter() - t
-                    else:
-                        if placed and not on_device:
-                            t = time.perf_counter()
-                            buf = device.to_device(
-                                np.asarray(hostval,
-                                           dtype=np.float64).reshape(-1),
-                                name=f"{segment.name}.in")
-                            stage["h2d"] += time.perf_counter() - t
-                            on_device = True
-                        t = time.perf_counter()
-                        buf = self._execute_segment(segment, plan, index,
-                                                    device, buf, params)
-                        plan_wall = time.perf_counter() - t
-                        on_device = True
-                    stage["kernel"] += plan_wall
-                    selections.append(SegmentExecution(
-                        segment=segment.name, kind=segment.kind,
-                        strategy=plan.strategy, predicted_seconds=seconds,
-                        optimizations=list(plan.optimizations),
-                        measured_seconds=plan_wall))
-                    index += 1
-                if placed and not on_device:
-                    output = np.asarray(hostval,
-                                        dtype=np.float64).reshape(-1)
-                else:
-                    t = time.perf_counter()
-                    output = device.to_host(buf)
-                    stage["d2h"] += time.perf_counter() - t
+            output, rows = replay(schedule, host_input, device, stage)
         except KernelExecutionError as exc:
-            # The scope above already released every buffer; attach the
+            # The device scope already released every buffer; attach the
             # failed attempt's counters so callers (guarded retry, the
             # batched runner) can account for partial work faithfully.
-            failed_compiled = COMPILE_COUNTER.since(compile_before)
-            failed_rebuilt = RESTRUCTURE_COUNTER.since(restructure_before)
+            failed = COMPILE_COUNTER.since(compile_before)
             exc.stats_delta = SelectionStats(
-                expr_compiles=failed_compiled.total,
-                restructure_builds=failed_rebuilt.perm_builds,
+                expr_compiles=failed.total, schedule_builds=int(lowered),
                 restructure_seconds=stage["restructure"],
                 h2d_seconds=stage["h2d"], kernel_seconds=stage["kernel"],
-                d2h_seconds=stage["d2h"],
-                compile_seconds=failed_compiled.seconds)
+                d2h_seconds=stage["d2h"], compile_seconds=failed.seconds)
             raise
         compiled = COMPILE_COUNTER.since(compile_before)
-        in_execute = COMPILE_COUNTER.since(exec_compile_before)
-        rebuilt = RESTRUCTURE_COUNTER.since(restructure_before)
         stage["compile"] = compiled.seconds
-        # Only compiles that ran inside plan.execute inflate the kernel
-        # wall-clock; selection-triggered ones were spent before it.
-        stage["kernel"] = max(0.0, stage["kernel"] - in_execute.seconds)
+        stage["kernel"] = max(0.0, stage["kernel"] - COMPILE_COUNTER.since(
+            replay_before).seconds)
         delta = SelectionStats(
             runs=1, expr_compiles=compiled.total,
             expr_hydrations=compiled.hydrated,
-            fused_chain_runs=fused_runs,
-            restructure_builds=rebuilt.perm_builds,
+            schedule_builds=int(lowered),
+            fused_chain_runs=schedule.fused,
             restructure_seconds=stage["restructure"],
             h2d_seconds=stage["h2d"], kernel_seconds=stage["kernel"],
             d2h_seconds=stage["d2h"], compile_seconds=stage["compile"])
         result = RunResult(
-            output=output, selections=selections,
-            predicted_kernel_seconds=predicted,
-            transfer_seconds=self.transfer_seconds(
-                params,
-                location=(InputLocation.HOST if input_on_host
-                          else InputLocation.DEVICE),
-                placements=(tuple(getattr(p, "placement", "gpu")
-                                  for p in plans) if placed else None)),
+            output=output, selections=rows,
+            predicted_kernel_seconds=schedule.predicted_seconds,
+            transfer_seconds=schedule.transfer_seconds,
             stage_seconds=stage)
         return result, delta
 
-    def _execute_segment(self, segment: Segment, plan: KernelPlan,
-                         index: int, device: Device, buf,
-                         params: Dict[str, float]):
-        """One segment's ``plan.execute`` with fault injection + wrapping.
-
-        Every failure leaves here as a :class:`KernelExecutionError`
-        carrying the segment name, strategy tag, scalar params and the
-        segment's chain position — the context
-        :meth:`_recover_segment` needs to quarantine and re-select.
-        With no injector configured this adds one ``None`` check to the
-        hot path and nothing else.
-        """
-        injector = self.faults
-        fault = injector.on_execute(plan) if injector is not None else None
-        if fault is not None and fault.kind != KIND_NAN:
-            cls = (KernelTimeoutError if fault.kind == KIND_TIMEOUT
-                   else KernelExecutionError)
-            raise cls(
-                f"injected {fault.kind} fault in plan {plan.strategy!r}",
-                injected=True, kind=fault.kind, segment=segment.name,
-                plan=plan.strategy, params=dict(freeze_scalars(params)),
-                segment_index=index)
-        try:
-            out = plan.execute(device, {IN: buf}, params)
-        except KernelExecutionError as exc:
-            # Launch-scope injected faults and executor-level failures
-            # (LaunchError, BarrierDivergenceError) arrive pre-typed;
-            # fill in whatever context they are missing.
-            if exc.segment is None:
-                exc.segment = segment.name
-            if exc.plan is None:
-                exc.plan = plan.strategy
-            if exc.params is None:
-                exc.params = dict(freeze_scalars(params))
-            if exc.segment_index is None:
-                exc.segment_index = index
-            raise
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise KernelExecutionError(
-                f"plan {plan.strategy!r} failed in segment "
-                f"{segment.name!r}: {exc}", segment=segment.name,
-                plan=plan.strategy, params=dict(freeze_scalars(params)),
-                kind="crash", segment_index=index) from exc
-        if fault is not None:          # KIND_NAN: poison the output
-            data = getattr(out, "data", None)
-            if (isinstance(data, np.ndarray)
-                    and np.issubdtype(data.dtype, np.floating)):
-                data.fill(np.nan)
-        if injector is not None:
-            # Output poisoning is only detectable by looking; the check
-            # runs solely when an injector is installed, so uninjected
-            # serving pays nothing for it.
-            data = getattr(out, "data", None)
-            if (isinstance(data, np.ndarray)
-                    and np.issubdtype(data.dtype, np.floating)
-                    and np.isnan(data).any()):
-                raise KernelExecutionError(
-                    f"NaN output from plan {plan.strategy!r} in segment "
-                    f"{segment.name!r}", injected=fault is not None,
-                    kind=KIND_NAN, segment=segment.name,
-                    plan=plan.strategy,
-                    params=dict(freeze_scalars(params)),
-                    segment_index=index)
-        return out
-
-    def _execute_segment_host(self, segment: Segment, plan: KernelPlan,
-                              index: int, hostval: np.ndarray,
-                              params: Dict[str, float]) -> np.ndarray:
-        """Host-side twin of :meth:`_execute_segment` for CPU placements.
-
-        Same fault-injection and error-wrapping contract; the data never
-        touches the device, so NaN poisoning and detection act directly
-        on the returned host array.
-        """
-        injector = self.faults
-        fault = injector.on_execute(plan) if injector is not None else None
-        if fault is not None and fault.kind != KIND_NAN:
-            cls = (KernelTimeoutError if fault.kind == KIND_TIMEOUT
-                   else KernelExecutionError)
-            raise cls(
-                f"injected {fault.kind} fault in plan {plan.strategy!r}",
-                injected=True, kind=fault.kind, segment=segment.name,
-                plan=plan.strategy, params=dict(freeze_scalars(params)),
-                segment_index=index)
-        try:
-            out = plan.execute_host(hostval, params)
-        except KernelExecutionError as exc:
-            if exc.segment is None:
-                exc.segment = segment.name
-            if exc.plan is None:
-                exc.plan = plan.strategy
-            if exc.params is None:
-                exc.params = dict(freeze_scalars(params))
-            if exc.segment_index is None:
-                exc.segment_index = index
-            raise
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise KernelExecutionError(
-                f"plan {plan.strategy!r} failed in segment "
-                f"{segment.name!r}: {exc}", segment=segment.name,
-                plan=plan.strategy, params=dict(freeze_scalars(params)),
-                kind="crash", segment_index=index) from exc
-        out = np.asarray(out, dtype=np.float64).reshape(-1)
-        if fault is not None:          # KIND_NAN: poison the output
-            out.fill(np.nan)
-        if injector is not None and np.isnan(out).any():
-            raise KernelExecutionError(
-                f"NaN output from plan {plan.strategy!r} in segment "
-                f"{segment.name!r}", injected=fault is not None,
-                kind=KIND_NAN, segment=segment.name, plan=plan.strategy,
-                params=dict(freeze_scalars(params)), segment_index=index)
-        return out
+    def _run_chain(self, host_input: np.ndarray, params: Dict[str, float],
+                   plans: List[KernelPlan], device: Device,
+                   location: InputLocation, compile_before=None
+                   ) -> Tuple[RunResult, SelectionStats]:
+        """Look up (or lower) the chain's schedule and replay it once on
+        ``host_input``, checked against the binding's input size."""
+        if compile_before is None:
+            compile_before = COMPILE_COUNTER.snapshot()
+        schedule, lowered = self._schedule(plans, params, location,
+                                           device.exec_mode)
+        host_input = self._validate_input(host_input, schedule.input_size)
+        return self._replay(schedule, host_input, device, compile_before,
+                            lowered)
 
     def _recover_segment(self, exc: KernelExecutionError,
                          params: Dict[str, float],
                          plans: List[KernelPlan], input_on_host: bool):
         """Quarantine the failed variant and re-select its segment.
 
-        Returns ``(new_plans, replacement, seconds, newly_quarantined)``
-        or ``None`` when the failure is terminal: the error carries no
-        segment position, or the failed variant is the segment's last
-        non-quarantined option (the last variant is never quarantined —
-        serving something beats serving nothing).
+        Returns ``(new_plans, newly_quarantined)`` or ``None`` when the
+        failure is terminal: the error carries no segment position, or
+        the failed variant is the segment's last non-quarantined option
+        (the last variant is never quarantined — serving something beats
+        serving nothing).
         """
         index = exc.segment_index
         if index is None or not 0 <= index < len(self.segments):
@@ -1004,7 +658,7 @@ class CompiledProgram:
         failed = plans[index]
         bucket = size_bucket(params)
         store = self.calibration
-        with self._quarantine_lock:
+        with self._state_lock:
             seg_from_host = input_on_host and index == 0
             eligible = self._eligible(segment, seg_from_host)
             remaining = [p for p in eligible
@@ -1018,37 +672,33 @@ class CompiledProgram:
             try:
                 replacement = segment.best_plan(self._selection_cost(),
                                                 params, plans=remaining)
-                seconds = self.cost.plan_seconds(replacement, params)
             except SelectionError:
                 return None
         new_plans = list(plans)
         new_plans[index] = replacement
-        return new_plans, replacement, seconds, newly
+        return new_plans, newly
 
-    def _execute_guarded(self, host_input: np.ndarray,
-                         params: Dict[str, float],
-                         plans: List[KernelPlan], device: Device,
-                         input_on_host: bool,
-                         plan_costs: Optional[Dict[int, float]] = None,
-                         compile_before=None, restructure_before=None):
-        """Retry-then-degrade wrapper around :meth:`_execute_plans`.
+    def _execute(self, host_input: np.ndarray, params: Dict[str, float],
+                 plans: List[KernelPlan], device: Device,
+                 location: InputLocation, compile_before=None):
+        """Retry-then-degrade wrapper around :meth:`_run_chain`.
 
         On a variant failure the failed (strategy, size-bucket) pair is
         quarantined, the segment re-selected among the survivors, and the
-        chain re-run (the failed attempt's scope already released its
-        buffers, so retries recycle them).  Terminal failures re-raise
-        with the accumulated counters on ``exc.stats_delta``.  Returns
-        ``(result, delta, plans, plan_costs)`` where ``plans`` /
-        ``plan_costs`` reflect any degraded substitution so callers can
+        new chain lowered and replayed (the failed attempt's scope
+        already released its buffers, so retries recycle them).  Terminal
+        failures re-raise with the accumulated counters on
+        ``exc.stats_delta``.  Returns ``(result, delta, plans)`` where
+        ``plans`` reflects any degraded substitution so callers can
         refresh their cached selection.
         """
         recovery: Optional[SelectionStats] = None
         reselect_total = 0.0
         while True:
             try:
-                result, delta = self._execute_plans(
-                    host_input, params, plans, device, input_on_host,
-                    plan_costs, compile_before, restructure_before)
+                result, delta = self._run_chain(host_input, params, plans,
+                                                device, location,
+                                                compile_before)
             except KernelExecutionError as exc:
                 if recovery is None:
                     recovery = SelectionStats()
@@ -1058,35 +708,30 @@ class CompiledProgram:
                 if exc.injected:
                     recovery.faults_injected += 1
                 # The quarantine + re-selection is selection work: its
-                # wall-clock lands on the degraded run's ``select`` stage
-                # (it used to vanish — degraded items reported 0.0).
+                # wall-clock lands on the degraded run's ``select`` stage.
                 reselect_started = time.perf_counter()
                 recovered = self._recover_segment(exc, params, plans,
-                                                  input_on_host)
+                                                  location.on_host)
                 reselect = time.perf_counter() - reselect_started
                 recovery.select_seconds += reselect
                 reselect_total += reselect
                 if recovered is None:
                     exc.stats_delta = recovery
                     raise
-                plans, replacement, seconds, newly = recovered
-                if plan_costs is not None:
-                    plan_costs = dict(plan_costs)
-                    plan_costs[id(replacement)] = seconds
+                plans, newly = recovered
                 recovery.retries += 1
                 if newly:
                     recovery.quarantines += 1
-                # Fresh counter windows per attempt: the failed attempt's
-                # compiles/stage times are already in ``recovery``.
+                # A fresh counter window per attempt: the failed
+                # attempt's compiles/stage times are already in
+                # ``recovery``.
                 compile_before = None
-                restructure_before = None
                 continue
             if recovery is not None:
                 recovery.degraded_runs = 1
                 delta.merge(recovery)
-                result.stage_seconds["select"] = \
-                    result.stage_seconds.get("select", 0.0) + reselect_total
-            return result, delta, plans, plan_costs
+                result.stage_seconds["select"] += reselect_total
+            return result, delta, plans
 
     def run(self, host_input: np.ndarray, params: Dict[str, float], *,
             options: Optional[RunOptions] = None,
@@ -1111,11 +756,12 @@ class CompiledProgram:
         bit-identical outputs — vectorized is a fast path for kernels
         that carry a vector body, never a semantics change.
 
-        Repeat runs at the same scalar parameters are the warm path: the
-        selected plans serve compiled kernels and restructure
-        permutations from their warm caches (zero compilations, zero
-        permutation rebuilds) and, when no explicit ``device`` is passed,
-        recycle device buffers through the owned device's arena.  Stage
+        Repeat runs at the same binding are the warm path: the first run
+        lowers the selected chain into a bound :class:`Schedule` (per
+        binding, selection, input location and exec mode) and later runs
+        replay it — zero compilations, zero lowerings — and, when no
+        explicit ``device`` is passed, recycle device buffers through the
+        owned device's arena.  Stage
         wall-clocks land on :attr:`RunResult.stage_seconds` and aggregate
         into :attr:`stats`.
 
@@ -1132,18 +778,15 @@ class CompiledProgram:
         params = dict(params)
         self._check_params(params)
         device = self._resolve_device(device, opts.exec_mode)
-        host_input = self._validate_input(host_input, params)
         compile_before = COMPILE_COUNTER.snapshot()
-        restructure_before = RESTRUCTURE_COUNTER.snapshot()
         started = time.perf_counter()
         plans = self.select(params, force, input_on_host=location,
                             placement=opts.placement)
         select_seconds = time.perf_counter() - started
         try:
-            result, delta, plans, _ = self._execute_guarded(
-                host_input, params, plans, device, location.on_host,
-                compile_before=compile_before,
-                restructure_before=restructure_before)
+            result, delta, plans = self._execute(
+                host_input, params, plans, device, location,
+                compile_before=compile_before)
         except KernelExecutionError as exc:
             partial = getattr(exc, "stats_delta", None)
             if partial is not None:
@@ -1151,14 +794,13 @@ class CompiledProgram:
             raise
         # Accumulate, don't overwrite: a degraded run already carries its
         # re-selection wall on the select stage.
-        result.stage_seconds["select"] = \
-            result.stage_seconds.get("select", 0.0) + select_seconds
+        result.stage_seconds["select"] += select_seconds
         self.stats.merge(delta)
         if feedback:
             config = (feedback if isinstance(feedback, FeedbackConfig)
                       else self.feedback)
             self._apply_feedback(host_input, params, plans, result,
-                                 device, location.on_host, config)
+                                 device, location, config)
         return result
 
     def warmup(self, params: Dict[str, float], *,
@@ -1167,19 +809,15 @@ class CompiledProgram:
         """Prime every warm cache for one parameter binding.
 
         Runs the program once on a zero input of the expected size:
-        selection is decided (and memoized), per-plan kernels are
-        compiled into the warm caches, restructure permutations are
-        built, and the owned device's arena is stocked.  The next
+        selection is decided (and memoized), the chain is lowered into
+        its schedule (compiling whatever it binds), and the owned
+        device's arena is stocked.  The next
         ``run()`` at these scalars is a pure warm path.  Accepts the
         same :class:`RunOptions` as :meth:`run`.
         """
         params = dict(params)
         self._check_params(params)
-        if self.program.input_size is not None:
-            expected = self.program.input_size.evaluate(params)
-        else:
-            expected = self.segments[0].input_size(params)
-        zeros = np.zeros(int(expected), dtype=self.wire_dtype)
+        zeros = np.zeros(self.input_size(params), dtype=self.wire_dtype)
         return self.run(zeros, params, force=force, options=options)
 
     def run_batch(self, inputs: Sequence[np.ndarray],
@@ -1200,8 +838,10 @@ class CompiledProgram:
 
         Selection happens once per distinct scalar binding; with
         ``warm=True`` (default) each distinct binding is warmed up
-        front, so worker threads never compile and never rebuild
-        permutations.  The one ``select()`` per binding is timed and its
+        front.  Every binding's schedule is lowered on the calling
+        thread before the fan-out, so workers only replay (a worker
+        lowers only a selection it degraded onto after a failure).  The
+        one ``select()`` per binding is timed and its
         wall-clock attributed to the binding's first completed result;
         every other item at the binding reports ``select == 0`` unless
         it degraded onto a replacement variant, in which case it keeps
@@ -1238,29 +878,43 @@ class CompiledProgram:
         # select wall-clock is recorded so it can be attributed to the
         # first result at the binding instead of vanishing.
         selections: Dict[tuple, List[KernelPlan]] = {}
-        plan_costs: Dict[tuple, Dict[int, float]] = {}
         select_seconds: Dict[tuple, float] = {}
         binding_errors: Dict[tuple, Exception] = {}
+        mode = exec_mode or self.default_exec_mode
+        lowering = SelectionStats()
         for params in params_list:
             key = freeze_scalars(params)
-            if key in selections or key in binding_errors:
-                continue
-            try:
-                self._check_params(params)
-                if warm:
-                    self.warmup(params, force=force,
-                                options=dataclasses.replace(
-                                    opts, feedback=False))
-                started = time.perf_counter()
-                plans = self.select(params, force, input_on_host=location,
-                                    placement=opts.placement)
-            except Exception as exc:
-                binding_errors[key] = exc
-                continue
-            select_seconds[key] = time.perf_counter() - started
-            selections[key] = plans
-            plan_costs[key] = {id(plan): self.cost.plan_seconds(plan, params)
-                               for plan in plans}
+            if key not in selections and key not in binding_errors:
+                try:
+                    self._check_params(params)
+                    if warm:
+                        self.warmup(params, force=force,
+                                    options=dataclasses.replace(
+                                        opts, feedback=False))
+                    started = time.perf_counter()
+                    plans = self.select(params, force,
+                                        input_on_host=location,
+                                        placement=opts.placement)
+                except Exception as exc:
+                    binding_errors[key] = exc
+                    continue
+                select_seconds[key] = time.perf_counter() - started
+                selections[key] = plans
+            if key in selections:
+                # Lower every (binding, arrays) pair here, on the calling
+                # thread; workers only replay.  A plan that fails to
+                # bind is left to its items' own retry-then-degrade.
+                before = COMPILE_COUNTER.snapshot()
+                try:
+                    _, lowered = self._schedule(selections[key], params,
+                                                location, mode)
+                except KernelExecutionError:
+                    continue
+                compiled = COMPILE_COUNTER.since(before)
+                lowering.schedule_builds += lowered
+                lowering.expr_compiles += compiled.total
+                lowering.compile_seconds += compiled.seconds
+        self.stats.merge(lowering)
 
         local = threading.local()
         refresh_lock = threading.Lock()
@@ -1270,43 +924,31 @@ class CompiledProgram:
             if device is None:
                 # Workers inherit the program's default exec mode, so a
                 # threaded batch runs the same executor as the serial
-                # path (this used to hardcode the reference interpreter).
-                device = Device(
-                    self.spec,
-                    exec_mode=exec_mode or self.default_exec_mode,
-                    fault_injector=self.faults)
+                # path.
+                device = Device(self.spec, exec_mode=mode,
+                                fault_injector=self.faults)
                 local.device = device
             return device
 
         def job(index: int) -> Tuple[RunResult, SelectionStats]:
             params = params_list[index]
             key = freeze_scalars(params)
-            host_input = self._validate_input(inputs[index], params)
             if workers <= 1:
                 device = self._resolve_device(None, exec_mode)
             else:
                 device = worker_device()
-            # Snapshot the (plans, costs) pair under the refresh lock: a
-            # degrading worker replaces both entries together, and an
-            # unlocked pair of reads could pair a replacement plan list
-            # with the stale cost dict (or vice versa) and KeyError on
-            # ``plan_costs[id(plan)]`` mid-execution.
             with refresh_lock:
                 job_plans = selections[key]
-                job_costs = plan_costs[key]
-            result, delta, used_plans, used_costs = self._execute_guarded(
-                host_input, params, job_plans, device,
-                location.on_host, job_costs)
+            result, delta, used_plans = self._execute(
+                inputs[index], params, job_plans, device, location)
             if used_plans is not job_plans:
                 # The item degraded onto a replacement variant; later
                 # items at the same binding start from the new selection
                 # instead of re-tripping over the quarantined one.
                 with refresh_lock:
                     selections[key] = used_plans
-                    plan_costs[key] = used_costs
             # A degraded item keeps the re-selection wall the guarded
-            # runner attributed to its select stage; hard-zeroing here
-            # used to erase it from the stage totals.
+            # runner attributed to its select stage.
             return result, delta
 
         results: List[Optional[RunResult]] = [None] * len(inputs)
@@ -1371,10 +1013,9 @@ class CompiledProgram:
                     continue
                 observed_keys.add(key)
                 self._apply_feedback(
-                    self._validate_input(inputs[index], params), params,
-                    selections[key], results[index],
-                    self._resolve_device(None, exec_mode),
-                    location.on_host, config)
+                    inputs[index], params, selections[key], results[index],
+                    self._resolve_device(None, exec_mode), location,
+                    config)
         return BatchOutcome(
             results=results,
             errors={i: e for i, e in enumerate(errors) if e is not None})
@@ -1453,7 +1094,7 @@ class CompiledProgram:
                 plans = self.select(params, force, input_on_host=location)
                 probes_before = self.stats.probe_runs
                 self._apply_feedback(None, params, plans, None, None,
-                                     location.on_host, config)
+                                     location, config)
                 if self.stats.probe_runs == probes_before:
                     break
         # Online subtree re-sweeps run mid-convergence: each rebuilds its
@@ -1510,7 +1151,7 @@ class CompiledProgram:
         """Assemble this program's complete warm state into a bundle.
 
         Captures everything the warm path needs — surviving variants,
-        dispatch tables, restructure permutations, cost/transfer memo
+        dispatch tables, cost/transfer memo
         entries, the calibration store, and every kernel source the
         process-wide exprgen registry has recorded — keyed by (program
         IR fingerprint, arch fingerprint, repro version, schema
@@ -1544,20 +1185,11 @@ class CompiledProgram:
                         "samples": int(d.samples),
                         "table": d.table.to_payload(),
                     })
-            permutations = []
-            for plan in segment.plans:
-                for size, scalars, perm in plan.export_permutations():
-                    permutations.append({
-                        "strategy": plan.strategy, "size": int(size),
-                        "scalars": encode_scalars(scalars),
-                        "perm": encode_ndarray(perm),
-                    })
             segments_payload.append({
                 "name": segment.name, "kind": segment.kind,
                 "strategies": [p.strategy for p in segment.plans],
                 "pruned": list(segment.pruned_strategies),
                 "dispatch": dispatch_payload,
-                "permutations": permutations,
             })
 
         plan_location = {id(plan): (segment.name, plan.strategy)
@@ -1605,7 +1237,7 @@ class CompiledProgram:
 
         Validates the full invalidation key and stages every piece of
         state — segment/strategy resolution, dispatch tables,
-        permutations, calibration — *before* mutating anything, so a
+        calibration — *before* mutating anything, so a
         stale bundle raises the precise :class:`BundleError` subclass
         and leaves the program untouched (never half-applied).  After a
         successful load the first ``run()`` selects from seeded cost
@@ -1679,20 +1311,7 @@ class CompiledProgram:
                         f"bundle's surviving set {sorted(survivors)}; "
                         f"re-save the bundle",
                         segment=segment.name, plan=unknown[0])
-            permutations = []
-            for entry in payload.get("permutations") or []:
-                if entry["strategy"] not in survivors:
-                    continue
-                try:
-                    permutations.append(
-                        (entry["strategy"], int(entry["size"]),
-                         decode_scalars(entry["scalars"]),
-                         decode_ndarray(entry["perm"])))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise BundleFormatError(
-                        f"segment {segment.name!r}: malformed permutation "
-                        f"payload: {exc}", segment=segment.name) from exc
-            staged.append((segment, payload, dispatch, permutations))
+            staged.append((segment, payload, dispatch))
         try:
             calibration = CalibrationStore.from_dict(bundle.calibration)
         except CalibrationError as exc:
@@ -1706,7 +1325,7 @@ class CompiledProgram:
                 "str -> str)")
 
         # -- commit: nothing below can fail on bundle content ----------
-        for segment, payload, dispatch, permutations in staged:
+        for segment, payload, dispatch in staged:
             keep = set(payload["strategies"])
             dropped = tuple(plan.strategy for plan in segment.plans
                             if plan.strategy not in keep)
@@ -1716,9 +1335,7 @@ class CompiledProgram:
                                          or segment.pruned_strategies
                                          + dropped)
             segment.dispatch = dispatch
-            plans = {plan.strategy: plan for plan in segment.plans}
-            for strategy, size, scalars, perm in permutations:
-                plans[strategy].inject_permutation(size, scalars, perm)
+        self._schedules.clear()
         plan_of = {(segment.name, plan.strategy): plan
                    for segment in self.segments for plan in segment.plans}
         for entry in bundle.costs:
@@ -1739,7 +1356,7 @@ class CompiledProgram:
                         plans: List[KernelPlan],
                         result: Optional[RunResult],
                         device: Optional[Device],
-                        input_on_host: bool,
+                        location: InputLocation,
                         config: FeedbackConfig) -> None:
         """Fold one run's measurements back into the calibration store.
 
@@ -1769,7 +1386,7 @@ class CompiledProgram:
             if result is not None and plan is plans[index]:
                 return result.selections[index].measured_seconds
             return self._probe_execute(host_input, params, plans, index,
-                                       plan, device, input_on_host)
+                                       plan, device, location)
 
         def fold(segment: Segment, plan: KernelPlan,
                  observed: float) -> float:
@@ -1785,7 +1402,7 @@ class CompiledProgram:
                 self._rebake_dispatch(segment, params)
             return change
 
-        from_host = input_on_host
+        from_host = location.on_host
         for index, (segment, plan) in enumerate(zip(self.segments, plans)):
             seg_from_host = from_host
             from_host = False
@@ -1843,7 +1460,7 @@ class CompiledProgram:
                        params: Dict[str, float],
                        plans: List[KernelPlan], index: int,
                        runner: KernelPlan, device: Device,
-                       input_on_host: bool) -> float:
+                       location: InputLocation) -> float:
         """Measure ``runner`` by re-running the chain with it substituted.
 
         The probe's counters are merged into :attr:`stats` with ``runs``
@@ -1852,8 +1469,8 @@ class CompiledProgram:
         """
         probe_plans = list(plans)
         probe_plans[index] = runner
-        result, delta = self._execute_plans(host_input, params, probe_plans,
-                                            device, input_on_host)
+        result, delta = self._run_chain(host_input, params, probe_plans,
+                                        device, location)
         delta.runs = 0
         self.stats.merge(delta)
         return result.selections[index].measured_seconds
@@ -1922,8 +1539,8 @@ class CompiledProgram:
         if winner is not None:
             for plan in prev.plans:
                 if plan.strategy == winner:
-                    return getattr(plan, "placement", "gpu")
-        placements = {getattr(p, "placement", "gpu") for p in prev.plans}
+                    return plan.placement
+        placements = {p.placement for p in prev.plans}
         return "cpu" if placements == {"cpu"} else "gpu"
 
     def _swept_seconds(self, cost, segment: Segment, index: int,
@@ -2036,24 +1653,19 @@ class CompiledProgram:
     def clear_warm_caches(self) -> None:
         """Cold-start the serving layer.
 
-        Drops every plan's compiled-kernel artifacts and restructure
-        permutations, empties the owned devices' buffer arenas, clears
-        the memoized cost layer (model-argmin selections are runtime
-        work the paper charges to the initial transfer, so a cold start
-        re-evaluates them), and resets the calibration store — measured
-        feedback is warm state.  Also evicts the fused-chain kernel
-        cache.  Baked dispatch tables survive — they are compile-time products,
-        not run-time warm state.
+        Drops every lowered schedule and compiled element factory,
+        empties the owned devices' buffer arenas, clears the memoized
+        cost layer (model-argmin selections are runtime work the paper
+        charges to the initial transfer, so a cold start re-evaluates
+        them), and resets the calibration store — measured feedback is
+        warm state.  Baked dispatch tables survive — they are
+        compile-time products, not run-time warm state.
         """
-        for segment in self.segments:
-            for plan in segment.plans:
-                plan.clear_warm_cache()
+        self._schedules.clear()
+        self.factories.clear()
         self.cost.clear()
         self._transfer_memo.clear()
-        self._directed_transfer_memo.clear()
         self.calibration.reset()
-        self._chain_cache.clear()
-        self._chain_pins.clear()
         with self._device_lock:
             for device in self._run_devices.values():
                 device.arena.clear()

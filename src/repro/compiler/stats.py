@@ -50,8 +50,14 @@ class SelectionStats:
     #: Expression functions rehydrated from bundle-carried source instead
     #: of being rendered (0 unless a bundle was loaded).
     expr_hydrations: int = 0
-    #: Restructure permutation arrays built inside ``run()`` (0 when warm).
+    #: Restructure index arrays built inside ``run()``.  Staging is a
+    #: strided view of the input, so none is ever built and this reads 0
+    #: by construction; it stays because benchmark reports read it.
     restructure_builds: int = 0
+    #: Chains lowered to a bound :class:`~repro.compiler.schedule.
+    #: Schedule` (once per binding, selection, input location and exec
+    #: mode; a warm run at a seen key lowers nothing).
+    schedule_builds: int = 0
     #: Per-stage wall-clock accumulated over ``run()`` executions.  The
     #: kernel stage excludes compile time (reported separately), so the
     #: warm/cold split is directly visible in the aggregates.
@@ -112,9 +118,10 @@ class SelectionStats:
         join (worker threads must not race on shared ints), then merges
         the per-run deltas here.
         """
-        for f in dataclasses.fields(self):
-            setattr(self, f.name,
-                    getattr(self, f.name) + getattr(other, f.name))
+        mine = self.__dict__
+        for name, value in other.__dict__.items():
+            if value:
+                mine[name] += value
 
     def since(self, earlier: "SelectionStats") -> "SelectionStats":
         """Counter deltas accumulated after ``earlier`` was snapshotted."""
@@ -135,6 +142,7 @@ class SelectionStats:
                 f" runs={self.runs}"
                 f" run_compiles={self.expr_compiles}"
                 f" perm_builds={self.restructure_builds}"
+                f" schedules={self.schedule_builds}"
                 f" feedback={self.feedback_observations}"
                 f" probes={self.probe_runs}"
                 f" mispredicts={self.mispredicts}"

@@ -68,8 +68,8 @@ def functional_check(rows: int = 48, cols: int = 160,
     reference coroutine interpreter and under the vectorized block
     executor and demands bit-identical output buffers, so the kernels
     the sweep ranks are known to agree however they are executed.  Each
-    mode then runs a second, warm time (cached kernels and permutation,
-    recycled buffers) and must reproduce the cold output bit for bit.
+    mode then runs a second, warm time (its replayed schedule, recycled
+    buffers) and must reproduce the cold output bit for bit.
     Returns the (shared) output array.
     """
     rng = np.random.default_rng(seed)
@@ -139,9 +139,9 @@ def _warm_sweep(compiled, total_elements: int, seed: int = 0):
 
     This is the warm-up ``save_bundle`` captures: every shape's variant
     is selected (populating the cost memo) and executed under *both*
-    executor modes (recording scalar and vector kernel sources, and
-    building restructure permutations), and its transfer time is
-    memoized — so the saved bundle serves either mode cold-start-free.
+    executor modes (recording scalar and vector kernel sources), and
+    its transfer time is memoized — so the saved bundle serves either
+    mode cold-start-free.
     """
     rng = np.random.default_rng(seed)
     pairs = []
@@ -176,7 +176,8 @@ def bundle_verify(path: str, total_elements: int = 1 << 10,
 
     Meant to run in a *fresh* process: a healthy bundle serves every
     sweep shape with ``model_evals == 0``, ``expr_compiles == 0`` and
-    ``perm_builds == 0``.  It then serves a second sweep at four times
+    ``perm_builds == 0`` (restructuring is a strided view, so the last
+    reads 0 by construction).  It then serves a second sweep at four times
     ``total_elements`` — shapes the bundle never saw — where a bundle
     carrying one source per expression still compiles nothing
     (``unseen_expr_compiles == 0``); that sweep's model evaluations and

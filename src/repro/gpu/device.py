@@ -28,14 +28,16 @@ MEMCPY_LATENCY_US = 10.0
 
 @dataclasses.dataclass
 class TransferRecord:
-    """One host<->device memcpy, for transfer-time accounting."""
+    """``count`` host<->device memcpys totalling ``nbytes``, for
+    transfer-time accounting (one copy by default)."""
 
     direction: str   # "h2d" | "d2h"
     nbytes: int
+    count: int = 1
 
     @property
     def seconds(self) -> float:
-        return (MEMCPY_LATENCY_US * 1e-6
+        return (self.count * MEMCPY_LATENCY_US * 1e-6
                 + self.nbytes / (PCIE_BANDWIDTH_GBPS * 1e9))
 
 
@@ -48,8 +50,11 @@ class Device:
         self.spec = spec
         self.exec_mode = ExecMode(exec_mode)
         self.executor = Executor(spec, default_mode=self.exec_mode)
-        self.transfers: list[TransferRecord] = []
+        #: Per-direction copy totals (``"h2d"`` / ``"d2h"``): constant
+        #: memory however many runs a long-lived device serves.
+        self.transfer_totals: Dict[str, TransferRecord] = {}
         self.launch_count = 0
+        self.reset_accounting()
         #: Optional :class:`~repro.faults.FaultInjector` consulted per
         #: launch (launch-scope, ``kernel=`` rules only).
         self.fault_injector = fault_injector
@@ -87,16 +92,20 @@ class Device:
         """Host-to-device copy; returns the device allocation.
 
         Always copies — a device buffer aliasing the caller's host array
-        would let kernel stores mutate user input in place.
+        would let kernel stores mutate user input in place.  ``data`` may
+        be any strided view (a restructured layout is one): it lands in
+        the buffer in C order, in the one copy, and the buffer is not
+        zero-filled first since the copy covers all of it.
         """
         try:
-            flat = np.ascontiguousarray(data).reshape(-1)
-            array = self.arena.acquire(flat.size, flat.dtype, name)
-            np.copyto(array.data, flat)
+            data = np.asarray(data)
+            array = self.arena.acquire(data.size, data.dtype, name,
+                                       zero=False)
+            np.copyto(array.data.reshape(data.shape), data)
         except (TypeError, ValueError, MemoryError) as exc:
             raise TransferError(f"host-to-device copy of {name!r} failed: "
                                 f"{exc}", kind="h2d") from exc
-        self.transfers.append(TransferRecord("h2d", array.data.nbytes))
+        self._count("h2d", array.data.nbytes)
         return self._track(array)
 
     def alloc(self, shape, dtype=np.float32, name: str = "buf") -> DeviceArray:
@@ -107,14 +116,14 @@ class Device:
     def alloc_from(self, data: np.ndarray, name: str = "buf") -> DeviceArray:
         """Device-side allocation initialized from a copy of ``data``
         (no transfer cost)."""
-        flat = np.ascontiguousarray(data).reshape(-1)
-        array = self.arena.acquire(flat.size, flat.dtype, name)
-        np.copyto(array.data, flat)
+        data = np.asarray(data)
+        array = self.arena.acquire(data.size, data.dtype, name, zero=False)
+        np.copyto(array.data.reshape(data.shape), data)
         return self._track(array)
 
     def to_host(self, array: DeviceArray) -> np.ndarray:
         """Device-to-host copy."""
-        self.transfers.append(TransferRecord("d2h", array.data.nbytes))
+        self._count("d2h", array.data.nbytes)
         try:
             return array.to_host()
         except (TypeError, ValueError, MemoryError) as exc:
@@ -163,10 +172,16 @@ class Device:
             injected=True, kind=fault.kind)
 
     # -- accounting ----------------------------------------------------------
+    def _count(self, direction: str, nbytes: int) -> None:
+        totals = self.transfer_totals[direction]
+        totals.count += 1
+        totals.nbytes += nbytes
+
     @property
     def transfer_seconds(self) -> float:
-        return sum(t.seconds for t in self.transfers)
+        return sum(t.seconds for t in self.transfer_totals.values())
 
     def reset_accounting(self) -> None:
-        self.transfers.clear()
+        self.transfer_totals = {direction: TransferRecord(direction, 0, 0)
+                                for direction in ("h2d", "d2h")}
         self.launch_count = 0

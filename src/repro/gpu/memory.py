@@ -120,14 +120,16 @@ class BufferArena:
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._free.values())
 
-    def acquire(self, size: int, dtype=np.float64,
-                name: str = "buf") -> DeviceArray:
-        """A zero-filled device buffer of exactly ``size`` elements."""
+    def acquire(self, size: int, dtype=np.float64, name: str = "buf",
+                zero: bool = True) -> DeviceArray:
+        """A device buffer of exactly ``size`` elements, zero-filled
+        unless ``zero=False`` (for callers that overwrite all of it)."""
         key = (int(size), np.dtype(dtype))
         bucket = self._free.get(key)
         if bucket:
             array = bucket.pop()
-            array.data.fill(0)
+            if zero:
+                array.data.fill(0)
             array.name = name
             self.hits += 1
             return array

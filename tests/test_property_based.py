@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import blas1, imagepipe, tmv
@@ -420,6 +420,16 @@ def _outcome(fn, *args):
     return value.dtype, value.tobytes()
 
 
+#: Arithmetic on a bool parameter through min/max: Python computes on
+#: the ints 0/1, numpy's bool arithmetic would give ``True`` for the
+#: first and raise for the second.
+_K = N.Var("k")
+_BOOL_ARITHMETIC = (
+    N.BinOp("+", N.Call("max", [_K, _K]), N.Call("max", [_K, _K])),
+    N.BinOp("-", _K, N.Call("min", [_K, _K])),
+)
+
+
 class TestBindingProperty:
     """Binding a parameter is bit-identical to folding its value in as
     a constant, in both the scalar and the vector emitter."""
@@ -427,6 +437,8 @@ class TestBindingProperty:
     @given(st.recursive(_bind_leaves, _bind_nodes, max_leaves=12),
            st.tuples(*[_bind_values] * len(_BIND_PARAMS)),
            st.lists(st.floats(-8, 8), min_size=1, max_size=8))
+    @example(expr=_BOOL_ARITHMETIC[0], values=(0, 0, True), xs=[1.0])
+    @example(expr=_BOOL_ARITHMETIC[1], values=(0, 0, True), xs=[1.0])
     @settings(max_examples=200, deadline=None)
     def test_bound_equals_folded_constant(self, expr, values, xs):
         params = dict(zip(_BIND_PARAMS, values))
@@ -446,6 +458,16 @@ class TestBindingProperty:
         bound_v = compile_vector_fn(expr, args, params, arrays=aux)
         const_v = compile_vector_fn(folded, args, {}, arrays=aux)
         assert _outcome(bound_v, xv, iv) == _outcome(const_v, xv, iv)
+
+    @pytest.mark.parametrize("expr", _BOOL_ARITHMETIC, ids=str)
+    @pytest.mark.parametrize("k", [True, False])
+    def test_bool_arithmetic_matches_the_scalar_path(self, expr, k):
+        scalar = compile_scalar_fn(expr, ["x"], {"k": k})(0.5)
+        vector = compile_vector_fn(expr, ["x"], {"k": k})(np.zeros(3))
+        assert not isinstance(scalar, bool)
+        assert np.asarray(vector).dtype != np.bool_
+        assert np.array_equal(np.broadcast_to(vector, (3,)),
+                              np.full(3, scalar))
 
 
 # ---------------------------------------------------------------------------

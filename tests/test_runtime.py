@@ -131,6 +131,13 @@ class TestMissingParameter:
         with pytest.raises(ValueError, match="'r'"):
             compiled.warmup(self.BAD)
 
+    def test_select_and_predicted_seconds_name_the_missing_parameter(self):
+        compiled = self._sdot()
+        with pytest.raises(ValueError, match="'r'"):
+            compiled.select(self.BAD)
+        with pytest.raises(ValueError, match="'r'"):
+            compiled.predicted_seconds(self.BAD)
+
     @pytest.mark.parametrize("warm", [True, False])
     def test_bad_binding_fails_only_its_own_items(self, warm):
         compiled = self._sdot()

@@ -13,7 +13,6 @@ import pytest
 from repro.apps import tmv
 from repro.compiler import AdapticCompiler
 from repro.compiler.exprgen import COMPILE_COUNTER
-from repro.compiler.plans.base import RESTRUCTURE_COUNTER
 from repro.gpu import (BufferArena, Device, DeviceArray, MODE_REFERENCE,
                        MODE_VECTORIZED, PCIE_BANDWIDTH_GBPS, TESLA_C2050)
 from repro.compiler import RunOptions
@@ -75,8 +74,9 @@ class TestWireDtype:
         matrix, params = tmv_case
         device = Device(TESLA_C2050, exec_mode=MODE_VECTORIZED)
         compiled.run(matrix, params, device=device)
-        h2d = [t for t in device.transfers if t.direction == "h2d"]
-        assert h2d[0].nbytes == matrix.size * compiled.wire_dtype.itemsize
+        h2d = device.transfer_totals["h2d"]
+        assert h2d.count == 1
+        assert h2d.nbytes == matrix.size * compiled.wire_dtype.itemsize
 
     def test_wire_dtype_is_float64(self, compiled):
         """run() stages in float64; the model must count those 8 bytes."""
@@ -118,10 +118,10 @@ class TestWarmupAndRunMany:
         matrix, params = tmv_case
         compiled.warmup(params, options=RunOptions(exec_mode=MODE_VECTORIZED))
         before = COMPILE_COUNTER.snapshot()
-        restructure_before = RESTRUCTURE_COUNTER.snapshot()
+        stats_before = compiled.stats.snapshot()
         result = compiled.run(matrix, params, options=RunOptions(exec_mode=MODE_VECTORIZED))
         assert COMPILE_COUNTER.since(before).total == 0
-        assert RESTRUCTURE_COUNTER.since(restructure_before).perm_builds == 0
+        assert compiled.stats.since(stats_before).schedule_builds == 0
         expected = tmv.reference(matrix, params["vec"], params["rows"],
                                  params["cols"])
         np.testing.assert_allclose(result.output, expected, rtol=1e-10)
